@@ -73,12 +73,14 @@ class GuestConfig:
     pv_spinlock: bool = False
     #: On-CPU spin budget before a pv-spinlock waiter yields.
     pv_spin_budget_ns: int = 30 * US
-    #: Coalesce scheduler ticks while a vCPU is runnable but off-CPU: the
-    #: per-tick effects (interrupt counters) are folded in arithmetically
-    #: when the vCPU resumes, instead of firing one event per tick.  Pure
-    #: performance knob — results are identical either way.
-    #: ``REPRO_COALESCE_TICKS=0`` flips the default off, for A/B timing and
-    #: the equivalence tests.
+    #: Elide scheduler ticks that are pure bookkeeping: while a vCPU is
+    #: runnable but off-CPU, and while it runs a lone thread (see
+    #: ``GuestKernel._macro_horizon``).  The elided ticks' counter bumps
+    #: are folded in arithmetically instead of firing one event per tick.
+    #: ``REPRO_COALESCE_TICKS=0`` flips the default off.  That is an A/B
+    #: timing switch, not an equivalence oracle: without coalescing, a
+    #: resumed vCPU's tick chain keeps its place in the same-instant order
+    #: instead of re-arming at resume, so results can differ.
     coalesce_ticks: bool = field(
         default_factory=lambda: os.environ.get("REPRO_COALESCE_TICKS", "1") != "0"
     )
@@ -154,11 +156,13 @@ class GuestKernel:
         #: Coalesced (virtualized) tick chains: due time of the next elided
         #: tick for a runnable-but-off-CPU vCPU, or None.  See _coalesce_fold.
         self._tick_virtual: list[int | None] = [None] * n
+        #: Tick elision, off-CPU (coalescing) and on-CPU (macro regions).
         self._coalesce = self.config.coalesce_ticks
-        #: Macro-stepping (REPRO_SIM_ENGINE=macro): elide *on-CPU* scheduler
-        #: ticks across provably-quiescent regions too.  Implied-off when
-        #: tick coalescing is disabled, so REPRO_COALESCE_TICKS=0 A/Bs both.
-        self._macro = self._coalesce and bool(getattr(self.sim, "macro", False))
+        #: Order key of each vCPU's tick chain: the rank drawn when the
+        #: chain (re)started and the instant it armed its first tick (see
+        #: _tick_key).
+        self._tick_rank = [0] * n
+        self._tick_armed = [0] * n
         #: Due time of the next elided on-CPU tick per vCPU with an open
         #: macro region (see _macro_horizon), or None.
         self._macro_due: list[int | None] = [None] * n
@@ -249,9 +253,9 @@ class GuestKernel:
         self._pause_current_action(i)
         self._executing[i] = False
         if i in self._macro_active:
-            # Open region with no in-flight action (the pause above closed
-            # it otherwise): convert straight into an off-CPU virtual chain.
-            self._macro_fold(i, self.sim.now)
+            # Open region: convert it straight into an off-CPU virtual
+            # chain whose next tick is the region's first unfired one.
+            self._macro_fold(i, self._macro_limit(i))
             self._tick_virtual[i] = self._macro_due[i]
             self._macro_due[i] = None
             self._macro_active.discard(i)
@@ -321,7 +325,6 @@ class GuestKernel:
         rq.picked_at = self.sim.now
         rq.pending_overhead_ns += self.config.ctx_switch_ns
         nxt.state = ThreadState.RUNNING
-        self._macro_refresh_one(i)  # dequeue/current/picked_at are inputs
         self._advance(i)
 
     def _go_idle(self, i: int) -> None:
@@ -464,7 +467,6 @@ class GuestKernel:
         thread.exec_ns += elapsed
         thread.vruntime += elapsed
         rq.advance_min_vruntime()
-        self._macro_refresh_one(i)  # vruntime is a preemption-lag input
         if finished:
             rq.pending_overhead_ns = 0
             return
@@ -636,131 +638,148 @@ class GuestKernel:
             due = self._tick_virtual[i]
             if due is not None:
                 self._tick_virtual[i] = None
-                self._arm_tick(i, due)
+                self._start_chain(i, due)
                 return
         if self._tick_events[i] is None and i not in self._macro_active:
-            self._arm_tick(i, self.sim.now + self.config.tick_ns)
+            self._start_chain(i, self.sim.now + self.config.tick_ns)
+
+    def _start_chain(self, i: int, due: int) -> None:
+        """(Re)start vCPU ``i``'s tick chain, first tick due at ``due``.
+
+        The chain's rank is drawn now, where scheduling its first tick
+        would have drawn that tick's seq, so every tick of the chain sorts
+        among same-instant events as the per-tick chain's would.
+        """
+        self._tick_rank[i] = self.sim.next_seq()
+        self._tick_armed[i] = self.sim.now
+        self._arm_tick(i, due)
 
     def _arm_tick(self, i: int, due: int) -> None:
         """Arm the tick chain of vCPU ``i``, next tick due at ``due``.
 
-        In macro mode this is where quiescent regions open: when every tick
-        from ``due`` up to (but excluding) some horizon is provably a pure
+        This is where on-CPU elision regions open: when every tick from
+        ``due`` up to (but excluding) some horizon is provably a pure
         counter bump, those ticks are elided and only the horizon tick is
         scheduled as a real event (none at all for an infinite horizon).
         """
-        if not self._macro:
-            self._tick_events[i] = self.sim.schedule_at(due, self._tick, i)
-            return
-        horizon = self._macro_horizon(i, due)
-        if horizon == due:
-            self._tick_events[i] = self.sim.schedule_at(due, self._tick, i)
-            return
-        self._macro_due[i] = due
-        self._macro_active.add(i)
-        if horizon is None:
-            self._tick_events[i] = None
-        else:
-            self._tick_events[i] = self.sim.schedule_at(horizon, self._tick, i)
+        rq = self.runqueues[i]
+        # Most ticks land on a vCPU with ready threads or none running,
+        # where no region can open: skip the horizon call for them.
+        if self._coalesce and rq.current is not None and not rq.ready:
+            horizon = self._macro_horizon(i, due)
+            if horizon != due:
+                self._macro_due[i] = due
+                self._macro_active.add(i)
+                self._tick_events[i] = (
+                    None if horizon is None else self._schedule_tick(i, horizon)
+                )
+                return
+        # _schedule_tick, inlined (once per tick that fires).  Callers arm
+        # the next tick from a tick or a chain start, so its born is now.
+        sim = self.sim
+        sim.order_key = (sim.now, self._tick_rank[i])
+        self._tick_events[i] = sim.schedule_at(due, self._tick, i)
+
+    def _tick_key(self, i: int, due: int) -> tuple[int, int]:
+        """``(born, seq)`` of vCPU ``i``'s tick due at ``due``.
+
+        The per-tick chain arms the tick due at T from the tick at
+        T - tick_ns (or, for the chain's first tick, at its arming
+        instant), so that is the tick's ``born``; its ``seq`` is the
+        chain's rank.  A tick scheduled after elided ones therefore sorts
+        exactly where the per-tick chain would have put it.
+        """
+        born = due - self.config.tick_ns
+        armed = self._tick_armed[i]
+        return (born if born > armed else armed, self._tick_rank[i])
+
+    def _schedule_tick(self, i: int, due: int) -> Event:
+        sim = self.sim
+        sim.order_key = self._tick_key(i, due)
+        return sim.schedule_at(due, self._tick, i)
+
+    def _tick_fired(self, i: int, due: int) -> bool:
+        """Whether vCPU ``i``'s tick due at ``due`` (== now) sorts before
+        the event being dispatched, i.e. would already have fired."""
+        current = self.sim.current
+        if current is None:
+            return True  # every event up to now has fired
+        return self._tick_key(i, due) < (current.born, current.seq)
 
     def _macro_horizon(self, i: int, due: int) -> int | None:
         """First tick time >= ``due`` whose handler could do real work.
 
-        Returns ``due`` itself when no region can open (the very next tick
-        is interesting, or the vCPU is ineligible), a later grid time when
-        the first interesting tick is further out, or None when *no* future
-        tick can matter (infinite horizon — e.g. a lone compute-bound
-        thread with empty sibling queues).
+        Returns ``due`` itself when no region can open, a later grid time
+        when the first interesting tick is further out, or None when *no*
+        future tick can matter (infinite horizon).
+
+        Regions open only on an executing vCPU running a lone thread with
+        an empty ready queue, no RCU and no freeze bit (an executing vCPU
+        is never FROZEN, and a freeze migration leaves no thread current).
+        Its tick handler then cannot preempt (the slice check needs a ready
+        thread) or kick an idle sibling (that needs a load of two); only
+        the periodic load balance can act, every ``lb_interval_ticks``
+        ticks, when a sibling queue is busy enough to steal from.
 
         The proof obligation: between region open and the first mutation of
         any input read below, every elided tick's handler reduces to the
         counter bumps `_macro_fold` applies.  All inputs are guarded by
-        `_macro_refresh` calls at their mutation sites; time-dependent
-        terms (`ran >= ideal`) are solved in closed form on the tick grid.
+        `_macro_refresh` calls at their mutation sites.
         """
-        vcpu = self.domain.vcpus[i]
+        rq = self.runqueues[i]
         if (
-            not self._executing[i]
+            rq.current is None
+            or rq.ready
+            or not self._executing[i]
             or self.rcu is not None
-            or vcpu.state is VCPUState.FROZEN
             or i in self.cpu_freeze_mask
-            or i in self._freeze_migration
         ):
             return due
-        rq = self.runqueues[i]
-        current = rq.current
-        if current is None:
-            return due
-        period = self.config.tick_ns
-        horizon: int | None = None
-        ready = rq.ready
-        # (1) Slice preemption (_tick_preemption): fires once the current
-        # thread ran for `ideal`; `lagging` is constant between
-        # invalidations (vruntimes only change under _account_progress).
-        if ready and not (current.rt or current.nonpreemptible):
-            ideal = max(
-                self.config.quantum_ns // 8,
-                self.config.sched_latency_ns // (len(ready) + 1),
-            )
-            best = rq.pick_next()
-            if best is not None and not best.rt and (
-                current.vruntime - best.vruntime > ideal
-            ):
-                return due  # lagging: the real tick handler must decide
-            first = rq.picked_at + ideal  # first tick with ran >= ideal
-            if first <= due:
-                return due
-            horizon = due + ((first - due + period - 1) // period) * period
-        runqueues = self.runqueues
-        if len(runqueues) > 1:
-            # One fused sibling scan for terms (2) and (3).  Loads and
-            # candidate sets only change at refresh sites.
-            my_load = len(ready) + 1
-            busy = my_load >= 2
-            mask = self.cpu_freeze_mask
-            vcpus = self.domain.vcpus
-            busiest = None
-            busiest_load = -1
-            for j, sibling in enumerate(runqueues):
-                if j == i:
-                    continue
+        busiest = None
+        busiest_load = -1
+        for j, sibling in enumerate(self.runqueues):
+            if j != i:
                 load = len(sibling.ready) + (1 if sibling.current else 0)
                 if load > busiest_load:  # first max, like _busiest_rq
                     busiest = sibling
                     busiest_load = load
-                # (3) nohz idle kick: effective on every tick while this
-                # queue is overloaded and an idle BLOCKED sibling exists
-                # (BLOCKED edges invalidate via vcpu_blocked_edge).
-                if (
-                    busy
-                    and load == 0
-                    and j not in mask
-                    and vcpus[j].state is VCPUState.BLOCKED
-                ):
-                    return due
-            # (2) Periodic load balance: a no-op unless the imbalance
-            # condition holds with stealable threads.
-            if busiest_load - my_load >= 2 and busiest.steal_candidates():
-                lb = self.config.lb_interval_ticks
-                m = (-self._ticks_seen[i]) % lb or lb  # pre-increments
-                balance_at = due + (m - 1) * period
-                if horizon is None or balance_at < horizon:
-                    horizon = balance_at
-        return horizon
+        # Periodic balance pulls when the busiest queue leads this one
+        # (load 1) by two or more and holds a stealable thread.
+        if busiest_load >= 3 and busiest.steal_candidates():
+            lb = self.config.lb_interval_ticks
+            m = (-self._ticks_seen[i]) % lb or lb  # pre-increments
+            return due + (m - 1) * self.config.tick_ns
+        return None
+
+    def _macro_limit(self, i: int) -> int:
+        """Latest due time an open region of vCPU ``i`` may fold now: its
+        horizon tick is a real event and counts itself when it fires."""
+        now = self.sim.now
+        event = self._tick_events[i]
+        if event is None or event.time > now:
+            return now
+        return event.time - 1
 
     def _macro_fold(self, i: int, limit: int) -> None:
-        """Fold the elided ticks of an open region with due <= ``limit``."""
+        """Fold the elided ticks of an open region due at or before
+        ``limit``.  A tick due exactly now counts only if it would already
+        have fired (see _tick_fired)."""
         due = self._macro_due[i]
         if due is None or due > limit:
             return
         period = self.config.tick_ns
         ticks = (limit - due) // period + 1
+        last = due + (ticks - 1) * period
+        if last == self.sim.now and not self._tick_fired(i, last):
+            ticks -= 1
+            if not ticks:
+                return
         self.timer_interrupts[i].inc(ticks)
         self._ticks_seen[i] += ticks
         self._macro_due[i] = due + ticks * period
 
     def _macro_refresh(self) -> None:
-        """Re-evaluate every open macro region after a state mutation.
+        """Re-evaluate every open region after a state mutation.
 
         Call *after* mutating any `_macro_horizon` input.  `_macro_fold`
         is an unconditional counter bump over a fixed grid, so fold order
@@ -768,16 +787,13 @@ class GuestKernel:
         be recomputed against the post-mutation world.  Unchanged horizons
         keep their scheduled event (the common case — zero queue traffic),
         moved ones re-arm, and a region whose very next tick became
-        interesting closes with a real tick at that due time.  A tick
-        falling exactly on the mutation instant resolves tick-first — the
-        same convention (and the same accepted seq-order caveat) as
-        `_coalesce_fold`.
+        interesting closes with a real tick at that due time — at this
+        very instant when that tick has not fired yet.
         """
         if not self._macro_active:
             return
-        now = self.sim.now
         for i in sorted(self._macro_active):
-            self._macro_refresh_region(i, now)
+            self._macro_refresh_region(i)
 
     def _macro_refresh_one(self, i: int) -> None:
         """Re-evaluate vCPU ``i``'s open region after a mutation whose
@@ -788,20 +804,14 @@ class GuestKernel:
         — a kept-but-stale shorter horizon is safe: the real tick fires
         early, does nothing, and re-arms with the longer region.  Only
         mutations that can *shorten* another region's horizon (enqueues
-        raising a load, a vCPU blocking, preempt_enable, unpinning) need
-        the global `_macro_refresh`.
+        raising a load, unpinning) need the global `_macro_refresh`.
         """
         if i in self._macro_active:
-            self._macro_refresh_region(i, self.sim.now)
+            self._macro_refresh_region(i)
 
-    def _macro_refresh_region(self, i: int, now: int) -> None:
+    def _macro_refresh_region(self, i: int) -> None:
+        self._macro_fold(i, self._macro_limit(i))
         event = self._tick_events[i]
-        # The region's proof covers [due, horizon) — the scheduled
-        # horizon tick itself is *interesting* and must fire for real,
-        # so a refresh landing exactly on the horizon instant may not
-        # fold it away (its handler still runs this instant, after us).
-        limit = now if event is None else min(now, event.time - 1)
-        self._macro_fold(i, limit)
         due = self._macro_due[i]
         horizon = self._macro_horizon(i, due)
         if horizon == due:
@@ -809,7 +819,7 @@ class GuestKernel:
             self._macro_active.discard(i)
             if event is not None:
                 event.cancel()
-            self._tick_events[i] = self.sim.schedule_at(due, self._tick, i)
+            self._tick_events[i] = self._schedule_tick(i, due)
         elif horizon is None:
             if event is not None:
                 event.cancel()
@@ -817,11 +827,11 @@ class GuestKernel:
         elif event is None or event.time != horizon:
             if event is not None:
                 event.cancel()
-            self._tick_events[i] = self.sim.schedule_at(horizon, self._tick, i)
+            self._tick_events[i] = self._schedule_tick(i, horizon)
 
     def _cancel_tick(self, i: int) -> None:
         if i in self._macro_active:
-            self._macro_fold(i, self.sim.now)
+            self._macro_fold(i, self._macro_limit(i))
             self._macro_active.discard(i)
         self._macro_due[i] = None
         self._tick_virtual[i] = None
@@ -863,32 +873,20 @@ class GuestKernel:
         self._tick_virtual[i] = due + ticks * period
 
     def sync_ticks(self) -> None:
-        """Fold every vCPU's coalesced ticks, for mid-run counter readers.
+        """Fold every vCPU's elided ticks, for mid-run counter readers.
 
-        Macro regions are folded up to now but stay open: reading a
-        counter is not a horizon input, so the region conditions still
-        hold afterwards.
+        Open regions are folded up to the ticks that already fired but
+        stay open: reading a counter is not a horizon input, so the region
+        conditions still hold afterwards.
         """
-        now = self.sim.now
         for i in range(len(self.runqueues)):
             self._coalesce_fold(i)
             if i in self._macro_active:
-                event = self._tick_events[i]
-                # Never pre-count a horizon tick that is about to fire
-                # for real this instant (it counts itself in `_tick`).
-                limit = now if event is None else min(now, event.time - 1)
-                self._macro_fold(i, limit)
+                self._macro_fold(i, self._macro_limit(i))
 
     def vcpu_frozen_edge(self, vcpu: VCPU) -> None:
         """Hypervisor hook: ``vcpu`` is about to enter or leave FROZEN."""
         self._coalesce_fold(vcpu.index)
-
-    def vcpu_blocked_edge(self, vcpu: VCPU) -> None:
-        """Hypervisor hook: ``vcpu`` just entered or left BLOCKED — an
-        input of sibling macro regions (the nohz kick scans for idle
-        BLOCKED siblings).  Called *after* the transition, unlike the
-        frozen edge, so the horizon recheck sees the new state."""
-        self._macro_refresh()
 
     def _tick(self, i: int) -> None:
         """One virtual timer interrupt on vCPU i.
@@ -1051,7 +1049,6 @@ class GuestKernel:
         cost = self.config.migration_cost_ns * max(1, len(movable))
         event = self.sim.schedule(cost, self._finish_freeze_migration, i)
         self._freeze_migration[i] = event
-        self._macro_refresh()  # _freeze_migration is a horizon input
 
     def _finish_freeze_migration(self, i: int) -> None:
         self._freeze_migration.pop(i, None)
@@ -1110,7 +1107,6 @@ class GuestKernel:
         if not 0 <= vcpu_index < len(self.runqueues):
             raise ValueError(f"no vCPU {vcpu_index}")
         thread.pinned_to = vcpu_index
-        self._macro_refresh()  # pinning shrinks steal-candidate sets
         if thread.state is not ThreadState.READY:
             return False
         src = thread.vcpu_index

@@ -329,9 +329,6 @@ class KernelSpinLock:
             raise RuntimeError(f"{self.lock.name}: release by non-holder {thread.name}")
         yield Compute(ATOMIC_NS)
         thread.nonpreemptible -= 1  # preempt_enable()
-        # Preemption suppression lifted: the region on this thread's vCPU
-        # (where it is current) may now have an earlier horizon.
-        thread.kernel._macro_refresh_one(thread.vcpu_index)
         self.lock.release()
 
     def critical_section(self, thread: "Thread", hold_ns: int) -> SyncGen:

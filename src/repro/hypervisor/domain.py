@@ -155,21 +155,8 @@ class VCPU:
                 edge = getattr(guest, "vcpu_frozen_edge", None)
                 if edge is not None:
                     edge(self)
-        blocked_edge = (new_state is VCPUState.BLOCKED) != (
-            self.state is VCPUState.BLOCKED
-        )
         self.timer.transition(new_state.value, now)
         self.state = new_state
-        if blocked_edge:
-            # A guest macro-stepping its ticks reads sibling BLOCKED states
-            # (nohz kick), so BLOCKED edges re-evaluate its quiescent
-            # regions — after the transition, so the hook sees the new
-            # state.
-            guest = self.domain.guest
-            if guest is not None:
-                edge = getattr(guest, "vcpu_blocked_edge", None)
-                if edge is not None:
-                    edge(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<VCPU {self.name} {self.state.value} prio={self.priority.name}>"

@@ -17,7 +17,7 @@ names, ``domain/index`` vCPU labels, thread names, callback qualnames),
 never by object identity or the process-global thread-id counter, so
 fingerprints compare across independently built machines in the same or
 different processes.  Fingerprints are additionally *engine-invariant*:
-they hash a canonical view that drops guest tick events (macro mode
+they hash a canonical view that drops guest tick events (tick elision
 represents elided tick chains as kernel bookkeeping rather than queue
 entries) and replaces absolute event sequence numbers with within-time
 ranks (the causal scheduling order, which all engines share).  The raw
@@ -153,11 +153,12 @@ def state_dict(machine: "Machine") -> dict:
     }
 
 
-#: Callbacks whose queue entries are an engine-representation detail: the
-#: macro engine elides provably-quiescent guest ticks (their chain state
-#: lives in GuestKernel bookkeeping instead), so their presence, timing
-#: grid and sequence numbers legitimately differ between engines while
-#: the simulated machine is in the same logical state.
+#: Callbacks whose queue entries are a representation detail: the
+#: default tick path elides guest ticks that are pure bookkeeping (their
+#: chain state lives in GuestKernel instead, and the ticks it does
+#: schedule carry their chain's rank as seq), so the presence, timing
+#: grid and sequence numbers of tick events legitimately differ from a
+#: per-tick run while the simulated machine is in the same logical state.
 _ENGINE_PRIVATE_CALLBACKS = frozenset({
     "repro.guest.kernel.GuestKernel._tick",
 })
@@ -167,7 +168,7 @@ def canonical_view(state: dict) -> dict:
     """The engine-invariant projection of a state dict that fingerprints
     hash.  Guest tick events are dropped and each remaining event's
     global sequence number becomes its rank among same-time events —
-    identical across wheel/heap/macro captures of the same instant."""
+    identical across engines and tick paths at the same instant."""
     engine = state.get("engine") or {}
     by_time: dict[int, list] = {}
     for time, seq, callback in engine.get("events") or []:

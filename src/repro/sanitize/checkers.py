@@ -7,8 +7,9 @@ whose edge invokes them:
 ===================  ==============================================  =======================================
 checker              invariant                                       hook site
 ===================  ==============================================  =======================================
-event_monotonic      dispatched events never move time backwards     ``Simulator.run`` / ``Simulator.step``
-                     and tombstoned events never fire
+event_monotonic      dispatched events never move time backwards,    ``Simulator.run`` / ``Simulator.step``
+                     fire in ``(born, seq)`` order within an
+                     instant, and tombstoned events never fire
 credit_frozen_burn   a FROZEN vCPU never burns CPU time              every scheduler's charge path
                      (Algorithm 2 / paper §4.3)                      (``Scheduler.charge_domain`` /
                                                                      ``CreditScheduler._burn``)
@@ -102,6 +103,8 @@ class Sanitizer:
         #: Checks performed, per checker name (insertion-ordered).
         self.stats: dict[str, int] = {}
         self.violations = 0
+        #: ``(time, born, seq)`` of the last dispatched event.
+        self._last_dispatch: tuple[int, int, int] | None = None
 
     # ------------------------------------------------------------------
     # Installation
@@ -142,7 +145,13 @@ class Sanitizer:
     # sim/engine: event-dispatch edge
     # ------------------------------------------------------------------
     def check_dispatch(self, sim: "Simulator", event: "Event") -> None:
-        """Events fire in nondecreasing time order and are never tombstones."""
+        """Events fire in nondecreasing time order, in nondecreasing
+        ``(born, seq)`` order within one instant, and are never tombstones.
+
+        The second clause catches an event scheduled into the current
+        instant with a key that sorts before an event that already fired
+        there — e.g. an elided guest tick re-armed out of order.
+        """
         self._count("event_monotonic")
         if event.cancelled:
             self.fail(
@@ -157,6 +166,17 @@ class Sanitizer:
                 event_time=event.time,
                 now=sim.now,
             )
+        key = (event.time, event.born, event.seq)
+        last = self._last_dispatch
+        if last is not None and last[0] == key[0] and key < last:
+            self.fail(
+                "event_monotonic",
+                "same-instant event dispatched out of (born, seq) order",
+                event=repr(event),
+                previous_born=last[1],
+                previous_seq=last[2],
+            )
+        self._last_dispatch = key
 
     # ------------------------------------------------------------------
     # hypervisor/credit: burn + accounting edges

@@ -4,7 +4,13 @@ Design notes
 ------------
 * Time is an integer nanosecond counter (see :mod:`repro.units`).  Events
   scheduled for the same instant fire in insertion order, which makes the
-  whole stack deterministic for a fixed seed.
+  whole stack deterministic for a fixed seed.  Precisely, the queue orders
+  entries by ``(time, born, seq)``: ``born`` is the clock when the event
+  was scheduled and ``seq`` a creation counter.  For ordinary events that
+  is insertion order, because ``seq`` grows with ``born``.  A client that
+  elides a periodic chain of its own events may schedule one of them with
+  the key the chain would have given it (``Simulator.order_key``), so the
+  event sorts where the per-event chain would have put it.
 * Events are cancellable.  Cancellation is lazy: the queue entry stays where
   it is but is skipped when popped.  This is the standard "tombstone" scheme
   and keeps ``cancel`` O(1).  When tombstones come to dominate the queue the
@@ -12,7 +18,7 @@ Design notes
   that arms-and-cancels timers (the guest tick chains do this constantly)
   never accumulates unbounded garbage.
 * Two interchangeable queue engines implement the same total order
-  ``(time, seq)``:
+  ``(time, born, seq)``:
 
   ``wheel`` (default)
       A hierarchical timer wheel: a small sorted heap for the current ~1 ms
@@ -20,13 +26,13 @@ Design notes
       overflow heap for far-future timers.  Most of the simulation's churn
       (ticks, quanta, IPIs) lands in the near window where insertion is an
       O(1) list append instead of an O(log n) heap sift, and heap entries
-      are plain ``(time, seq, event)`` tuples so comparisons run in C.
+      are plain ``(time, born, seq, event)`` tuples so comparisons run in C.
 
   ``heap``
       The reference engine: one binary heap.  Kept for differential testing
-      — both engines must produce bit-identical event orderings (seq is
-      unique, so ``(time, seq)`` is a total order and any correct priority
-      queue agrees).
+      — both engines must produce bit-identical event orderings (keys are
+      unique, so ``(time, born, seq)`` is a total order and any correct
+      priority queue agrees).
 
 * ``peek_time`` and ``pending_count`` are O(1) amortized: the queue keeps a
   live-event counter, and peeking only pays for the tombstones it discards
@@ -63,7 +69,7 @@ class Event:
     :attr:`time` attribute.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_owner")
+    __slots__ = ("time", "born", "seq", "fn", "args", "cancelled", "_owner")
 
     def __init__(
         self,
@@ -72,8 +78,10 @@ class Event:
         fn: Callable[..., None],
         args: tuple,
         owner: "_HeapQueue | _WheelQueue | None" = None,
+        born: int = 0,
     ):
         self.time = time
+        self.born = born
         self.seq = seq
         self.fn = fn
         self.args = args
@@ -99,11 +107,11 @@ class Event:
         return not self.cancelled
 
     def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        return (self.time, self.born, self.seq) < (other.time, other.born, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time} seq={self.seq} {state}>"
+        return f"<Event t={self.time} born={self.born} seq={self.seq} {state}>"
 
 
 def _cancelled_fn(*_args: Any) -> None:  # pragma: no cover - never called
@@ -111,17 +119,17 @@ def _cancelled_fn(*_args: Any) -> None:  # pragma: no cover - never called
 
 
 class _HeapQueue:
-    """Reference engine: a single binary heap of ``(time, seq, event)``."""
+    """Reference engine: a single binary heap of ``(time, born, seq, event)``."""
 
     __slots__ = ("_heap", "live", "_tombstones")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple[int, int, int, Event]] = []
         self.live = 0
         self._tombstones = 0
 
     def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.time, event.seq, event))
+        heapq.heappush(self._heap, (event.time, event.born, event.seq, event))
         self.live += 1
 
     def note_cancel(self) -> None:
@@ -131,14 +139,14 @@ class _HeapQueue:
             self.compact()
 
     def compact(self) -> None:
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         self._tombstones = 0
 
     def peek(self) -> Event | None:
         heap = self._heap
         while heap:
-            event = heap[0][2]
+            event = heap[0][3]
             if event.cancelled:
                 heapq.heappop(heap)
                 self._tombstones -= 1
@@ -151,7 +159,7 @@ class _HeapQueue:
         heappop = heapq.heappop
         while heap:
             entry = heap[0]
-            event = entry[2]
+            event = entry[3]
             if event.cancelled:
                 heappop(heap)
                 self._tombstones -= 1
@@ -170,8 +178,8 @@ class _HeapQueue:
         discards tombstones, so calling it leaves the queue byte-identical.
         """
         for entry in self._heap:
-            if not entry[2].cancelled:
-                yield entry[2]
+            if not entry[3].cancelled:
+                yield entry[3]
 
 
 class _WheelQueue:
@@ -201,19 +209,19 @@ class _WheelQueue:
 
     def __init__(self) -> None:
         self._cur = 0
-        self._cur_heap: list[tuple[int, int, Event]] = []
-        self._wheel: list[list[tuple[int, int, Event]]] = [
+        self._cur_heap: list[tuple[int, int, int, Event]] = []
+        self._wheel: list[list[tuple[int, int, int, Event]]] = [
             [] for _ in range(_WHEEL_SLOTS)
         ]
         self._wheel_count = 0
-        self._far: list[tuple[int, int, Event]] = []
+        self._far: list[tuple[int, int, int, Event]] = []
         self.live = 0
         self._tombstones = 0
 
     def push(self, event: Event) -> None:
         self.live += 1
         granule = event.time >> _GRANULE_BITS
-        entry = (event.time, event.seq, event)
+        entry = (event.time, event.born, event.seq, event)
         offset = granule - self._cur
         if offset <= 0:
             heapq.heappush(self._cur_heap, entry)
@@ -230,14 +238,14 @@ class _WheelQueue:
             self.compact()
 
     def compact(self) -> None:
-        self._cur_heap = [e for e in self._cur_heap if not e[2].cancelled]
+        self._cur_heap = [e for e in self._cur_heap if not e[3].cancelled]
         heapq.heapify(self._cur_heap)
-        self._far = [e for e in self._far if not e[2].cancelled]
+        self._far = [e for e in self._far if not e[3].cancelled]
         heapq.heapify(self._far)
         count = 0
         for bucket in self._wheel:
             if bucket:
-                bucket[:] = [e for e in bucket if not e[2].cancelled]
+                bucket[:] = [e for e in bucket if not e[3].cancelled]
                 count += len(bucket)
         self._wheel_count = count
         self._tombstones = 0
@@ -246,7 +254,7 @@ class _WheelQueue:
         while True:
             heap = self._cur_heap
             while heap:
-                event = heap[0][2]
+                event = heap[0][3]
                 if event.cancelled:
                     heapq.heappop(heap)
                     self._tombstones -= 1
@@ -261,7 +269,7 @@ class _WheelQueue:
             heap = self._cur_heap
             while heap:
                 entry = heap[0]
-                event = entry[2]
+                event = entry[3]
                 if event.cancelled:
                     heappop(heap)
                     self._tombstones -= 1
@@ -282,15 +290,15 @@ class _WheelQueue:
         queue (including tombstone placement) is left byte-identical.
         """
         for entry in self._cur_heap:
-            if not entry[2].cancelled:
-                yield entry[2]
+            if not entry[3].cancelled:
+                yield entry[3]
         for bucket in self._wheel:
             for entry in bucket:
-                if not entry[2].cancelled:
-                    yield entry[2]
+                if not entry[3].cancelled:
+                    yield entry[3]
         for entry in self._far:
-            if not entry[2].cancelled:
-                yield entry[2]
+            if not entry[3].cancelled:
+                yield entry[3]
 
     def _advance(self) -> bool:
         """Slide the window to the next occupied granule.
@@ -308,7 +316,7 @@ class _WheelQueue:
                     wheel_granule = cur + dist
                     break
         far = self._far
-        while far and far[0][2].cancelled:
+        while far and far[0][3].cancelled:
             heapq.heappop(far)
             self._tombstones -= 1
         far_granule = (far[0][0] >> _GRANULE_BITS) if far else None
@@ -326,7 +334,7 @@ class _WheelQueue:
         if bucket:
             self._wheel_count -= len(bucket)
             for entry in bucket:
-                if entry[2].cancelled:
+                if entry[3].cancelled:
                     self._tombstones -= 1
                 else:
                     heap.append(entry)
@@ -335,7 +343,7 @@ class _WheelQueue:
         # ones further out stay put and are compared by granule next time.
         while far and (far[0][0] >> _GRANULE_BITS) == granule:
             entry = heapq.heappop(far)
-            if entry[2].cancelled:
+            if entry[3].cancelled:
                 self._tombstones -= 1
             else:
                 heap.append(entry)
@@ -343,12 +351,7 @@ class _WheelQueue:
         return True
 
 
-# "macro" runs on the wheel queue but additionally advertises itself to
-# clients (via ``Simulator.macro``) as permitting macro-stepping: consumers
-# such as the guest kernel may then elide provably-quiescent events and
-# advance their effects in closed form.  The engine itself is unchanged —
-# quiescence detection lives with the state it reasons about.
-_ENGINES = {"wheel": _WheelQueue, "heap": _HeapQueue, "macro": _WheelQueue}
+_ENGINES = {"wheel": _WheelQueue, "heap": _HeapQueue}
 
 
 class Simulator:
@@ -379,13 +382,18 @@ class Simulator:
             )
         self.now: int = 0
         self.engine = engine
-        #: Macro-stepping opt-in: event producers that can prove a stretch
-        #: of their own events quiescent (no observable effect beyond
-        #: counter bumps) may skip scheduling them and fold the effects in
-        #: arithmetically.  See ``GuestKernel._macro_horizon``.
-        self.macro = engine == "macro"
         self._queue = _ENGINES[engine]()
         self._seq: int = 0
+        #: The event being dispatched (after a stopped run or a ``step``,
+        #: the last one dispatched); None when every event up to ``now``
+        #: has fired.  Clients that elide their own events compare keys
+        #: against it to tell whether an elided event would already have
+        #: fired at this instant.
+        self.current: Event | None = None
+        #: ``(born, seq)`` for the next ``schedule_at`` call, which consumes
+        #: it.  Lets a client give an event the key an elided per-event
+        #: chain would have given it (see ``GuestKernel._tick_key``).
+        self.order_key: tuple[int, int] | None = None
         self._running = False
         self._stopped = False
         #: Optional hook invoked as ``dispatch_check(sim, event)`` right
@@ -405,22 +413,43 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}ns in the past")
         # schedule_at's body, inlined: this is the hottest call in the
-        # simulator (one per tick, quantum, IPI, ...).
-        event = Event(int(self.now + delay), self._seq, fn, args, self._queue)
+        # simulator (one per quantum, IPI, ...).
+        now = self.now
+        event = Event(int(now + delay), self._seq, fn, args, self._queue, now)
         self._seq += 1
         self._queue.push(event)
         return event
 
     def schedule_at(self, time: int, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at an absolute simulation time."""
+        """Schedule ``fn(*args)`` at an absolute simulation time.
+
+        Consumes a pending :attr:`order_key`, if one is set, as the event's
+        ``(born, seq)``; otherwise the event is born now with a fresh seq.
+        """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        event = Event(int(time), self._seq, fn, args, self._queue)
-        self._seq += 1
+        key = self.order_key
+        if key is None:
+            event = Event(int(time), self._seq, fn, args, self._queue, self.now)
+            self._seq += 1
+        else:
+            self.order_key = None
+            event = Event(int(time), key[1], fn, args, self._queue, key[0])
         self._queue.push(event)
         return event
+
+    def next_seq(self) -> int:
+        """Draw a sequence number without scheduling anything.
+
+        The draw takes the place a scheduled event would have taken in
+        creation order, so a rank drawn here sorts like an event
+        scheduled now.
+        """
+        seq = self._seq
+        self._seq += 1
+        return seq
 
     # ------------------------------------------------------------------
     # Execution
@@ -449,12 +478,15 @@ class Simulator:
                 if trace is not None:
                     trace(self, event)
                 self.now = event.time
+                self.current = event
                 event.cancelled = True  # mark as fired
                 event.fn(*event.args)
         finally:
             self._running = False
-        if until is not None and self.now < until and not self._stopped:
-            self.now = until
+        if not self._stopped:
+            self.current = None
+            if until is not None and self.now < until:
+                self.now = until
 
     def step(self) -> bool:
         """Fire exactly one event.  Returns False when the queue is empty."""
@@ -466,6 +498,7 @@ class Simulator:
         if self.dispatch_trace is not None:
             self.dispatch_trace(self, event)
         self.now = event.time
+        self.current = event
         event.cancelled = True
         event.fn(*event.args)
         return True

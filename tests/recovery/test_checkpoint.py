@@ -22,7 +22,7 @@ from repro.recovery import RestoreMismatch, capture, fingerprint, restore, state
 from repro.units import MS
 
 ALL_SCHEDULERS = available()
-ENGINES = ("wheel", "heap", "macro")
+ENGINES = ("wheel", "heap")
 
 SNAP_NS = 40 * MS
 END_NS = 120 * MS

@@ -88,6 +88,28 @@ def test_dispatching_past_event_raises():
         sanitizer.check_dispatch(machine.sim, stale)
 
 
+def test_same_instant_dispatch_out_of_key_order_raises():
+    machine, _, sanitizer = sanitized_stack()
+    sim = machine.sim
+    fired = sim.schedule(10, lambda: None)
+    # An event keyed into the same instant ahead of one that already
+    # fired there, as a tick re-armed with a stale order key would be.
+    sim.order_key = (fired.born, fired.seq - 1)
+    early = sim.schedule_at(10, lambda: None)
+    sanitizer.check_dispatch(sim, fired)
+    with pytest.raises(InvariantViolation, match=r"out of \(born, seq\) order"):
+        sanitizer.check_dispatch(sim, early)
+
+
+def test_same_instant_dispatch_in_key_order_passes():
+    machine, _, sanitizer = sanitized_stack()
+    sim = machine.sim
+    first = sim.schedule(10, lambda: None)
+    second = sim.schedule(10, lambda: None)
+    sanitizer.check_dispatch(sim, first)
+    sanitizer.check_dispatch(sim, second)
+
+
 # ----------------------------------------------------------------------
 # hypervisor/credit: burn + accounting
 # ----------------------------------------------------------------------

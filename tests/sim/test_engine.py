@@ -177,3 +177,52 @@ def test_cancellation_subset_property(delays, data):
         events[index].cancel()
     sim.run()
     assert set(fired) == set(range(len(delays))) - to_cancel
+
+
+def test_order_key_places_event_by_born_then_seq():
+    """A keyed event sorts by its (born, seq) among same-time events and
+    consumes the pending key; the next schedule_at is ordinary again."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(10, fired.append, "born0")
+
+    def at_five():
+        sim.schedule_at(10, fired.append, "born5")
+        sim.order_key = (3, 10**6)
+        sim.schedule_at(10, fired.append, "keyed-born3")
+        assert sim.order_key is None
+        sim.schedule_at(10, fired.append, "born5-later")
+
+    sim.schedule(5, at_five)
+    sim.run()
+    assert fired == ["born0", "keyed-born3", "born5", "born5-later"]
+
+
+def test_unknown_engine_is_rejected():
+    with pytest.raises(ValueError, match="unknown engine"):
+        Simulator(engine="macro")
+
+
+def test_current_is_the_dispatching_event():
+    sim = Simulator()
+    seen = []
+    event = sim.schedule(7, lambda: seen.append(sim.current))
+    sim.schedule(9, sim.stop)
+    sim.schedule(9, seen.append, "after stop")
+    assert sim.current is None
+    sim.run()
+    assert seen == [event]
+    # A stopped run leaves the last dispatched event as the boundary...
+    assert sim.current is not None and sim.current.time == 9
+    sim.run()
+    # ...and a run that drains the instant clears it.
+    assert seen == [event, "after stop"]
+    assert sim.current is None
+
+
+def test_next_seq_takes_a_scheduling_slot():
+    sim = Simulator()
+    first = sim.schedule(5, lambda: None)
+    rank = sim.next_seq()
+    second = sim.schedule(5, lambda: None)
+    assert first.seq < rank < second.seq

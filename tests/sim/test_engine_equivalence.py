@@ -1,9 +1,9 @@
 """Wheel-vs-heap engine equivalence.
 
 The timer-wheel and binary-heap queues must be observationally identical:
-the (time, seq) total order fully determines firing order, so any correct
-priority queue produces the same simulation.  These tests drive both
-engines through the same program — including cancellations, nested
+the (time, born, seq) total order fully determines firing order, so any
+correct priority queue produces the same simulation.  These tests drive
+both engines through the same program — including cancellations, nested
 scheduling, and delays spanning granule/window/far-heap boundaries — and
 require identical traces.
 """
@@ -115,6 +115,33 @@ def test_engines_agree_with_interleaved_cancel_and_far_events():
         sim.run()
         assert not far.pending
         return fired, sim.now, sim.pending_count()
+
+    assert run("wheel") == run("heap")
+
+
+def test_engines_agree_on_keyed_events():
+    """Events keyed through ``order_key``, as guest tick chains schedule
+    theirs, fire in the same order on both engines — across granules and
+    windows, and interleaved with ordinary same-time events."""
+
+    def run(engine):
+        sim = Simulator(engine=engine)
+        fired = []
+        ranks = [sim.next_seq(), sim.next_seq()]
+
+        def tick(chain, n):
+            fired.append((sim.now, "tick", chain))
+            sim.schedule(GRANULE, fired.append, (sim.now + GRANULE, "plain", chain))
+            if n:
+                due = sim.now + (n % 3 + 1) * GRANULE
+                sim.order_key = (due - GRANULE, ranks[chain])
+                sim.schedule_at(due, tick, chain, n - 1)
+
+        for chain in (1, 0):
+            sim.order_key = (0, ranks[chain])
+            sim.schedule_at(GRANULE, tick, chain, 400)
+        sim.run()
+        return fired, sim.now
 
     assert run("wheel") == run("heap")
 

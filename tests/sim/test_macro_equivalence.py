@@ -1,31 +1,41 @@
-"""Macro-vs-wheel engine equivalence at the full-simulation level.
+"""Guest-tick elision vs the per-tick reference, at the full-simulation level.
 
-The macro engine must be *observationally invisible*: it detects
-quiescent regions of a guest's tick chain — spans where the runnable set
-and the pick-next outcome are provably stable — and advances them in
-closed form instead of firing every 1 ms tick event.  Any divergence in
-when a tick preempts, balances, or kicks nohz siblings would change
-scheduling decisions and cascade through the whole run.
+The default tick path elides on-CPU guest ticks that are pure bookkeeping:
+while a vCPU runs a lone thread, its ticks are folded in closed form
+(macro-stepped) instead of firing one event per tick, and only a tick
+whose handler could act is scheduled.  Elision must be *observationally
+invisible*: same scheduling decisions, same event order within every
+instant, same results.
 
-The property-based test here drives random (scheduler, configuration,
-workload, fault-plan) draws through the wheel and macro engines and
-requires bit-identical machine state: same engine-invariant checkpoint
-fingerprint, same guest-visible tick counters (after ``sync_ticks``
-flushes the closed-form folds), same thread/vCPU states and vruntimes,
-same fault-injection decisions.  The directed tests pin the two hardest
-boundary cases: freeze edges (regions torn down mid-span by Algorithm 2
-reconfigurations) and scripted daemon stalls (long idle spans where the
-whole tick chain is elided at once).
+The reference is the same simulator with elision regions disabled
+through a test-only seam: ``GuestKernel._macro_horizon`` patched to return
+``due``, so no region ever opens and every on-CPU tick fires as an event
+(the test names call it ``wheel``, the default path ``macro``).  Off-CPU
+tick coalescing stays on in both, as it is part of the canonical tick
+path.
+
+The property-based test drives random (scheduler, configuration, host
+size, workload, fault-plan) draws through both and requires bit-identical
+machine state: same checkpoint fingerprint, same guest-visible tick
+counters (after ``sync_ticks`` flushes the closed-form folds), same
+thread/vCPU states and vruntimes, same fault-injection decisions.  Hosts
+of 16 pCPUs carry 14 desktop VMs beside the worker, so tick chains of
+many vCPUs share grid instants with each other and with hypervisor
+events — the same-instant collisions elision must order exactly.  The
+directed tests pin freeze edges, scripted daemon stalls, and two
+benchmark-scale cells whose results elision once changed.
 """
 
+import functools
+from contextlib import contextmanager
 from dataclasses import replace
-
-import os
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.experiments import decentralization, fig14, results
 from repro.experiments.setups import Config, ScenarioBuilder
 from repro.faults import FaultConfig, FaultEvent, FaultPlan
+from repro.guest.kernel import GuestKernel
 from repro.hypervisor.schedulers import available
 from repro.recovery import fingerprint, state_dict
 from repro.sim.rng import SeedSequenceFactory
@@ -36,14 +46,14 @@ from repro.workloads.openmp import SPINCOUNT_DEFAULT
 WARMUP_NS = 20 * MS
 
 #: A daemon-stall-heavy plan: long stretches where the worker guest goes
-#: fully idle and the macro engine elides entire tick chains at once.
+#: fully idle and its tick chains die or are elided at once.
 STALL_PLAN = FaultPlan(
     config=FaultConfig(daemon_stall_rate=0.3, daemon_stall_periods=4),
     seed=11,
     events=(FaultEvent(at_ns=60 * MS, site="daemon_stall", magnitude=6.0),),
 )
 #: A mixed transient plan touching the IPI and channel fault sites whose
-#: RNG draws must line up exactly across engines.
+#: RNG draws must line up exactly with and without elision.
 MIXED_PLAN = FaultPlan(
     config=FaultConfig(
         ipi_drop_rate=0.05,
@@ -55,8 +65,31 @@ MIXED_PLAN = FaultPlan(
 )
 
 
+@contextmanager
+def _tick_path(path):
+    """Run the block on the ``"elided"`` (default) or ``"per-tick"`` tick
+    path; yields a one-slot list counting dispatched guest ticks."""
+    fired = [0]
+    original_tick = GuestKernel._tick
+    original_horizon = GuestKernel._macro_horizon
+
+    @functools.wraps(original_tick)  # keeps the name checkpoints filter on
+    def counted_tick(self, i):
+        fired[0] += 1
+        original_tick(self, i)
+
+    GuestKernel._tick = counted_tick
+    if path == "per-tick":
+        GuestKernel._macro_horizon = lambda self, i, due: due
+    try:
+        yield fired
+    finally:
+        GuestKernel._tick = original_tick
+        GuestKernel._macro_horizon = original_horizon
+
+
 def _observe(scenario) -> dict:
-    """Everything an engine could plausibly perturb, in comparable form."""
+    """Everything elision could plausibly perturb, in comparable form."""
     machine = scenario.machine
     for domain in machine.domains:
         guest = domain.guest
@@ -67,7 +100,11 @@ def _observe(scenario) -> dict:
     return {
         "now": machine.sim.now,
         "fingerprint": fingerprint(state_dict(machine)),
-        "worker_ticks": [int(c) for c in worker.timer_interrupts],
+        "ticks": [
+            [int(c) for c in domain.guest.timer_interrupts]
+            for domain in machine.domains
+            if isinstance(domain.guest, GuestKernel)
+        ],
         "worker_threads": sorted(
             (t.name, t.done, t.vcpu_index, t.vruntime) for t in worker.threads
         ),
@@ -81,11 +118,9 @@ def _observe(scenario) -> dict:
     }
 
 
-def _run(engine, *, scheduler, config, seed, vcpus, pcpus, plan,
+def _run(path, *, scheduler, config, seed, vcpus, pcpus, plan,
          until_ns, with_app) -> dict:
-    previous = os.environ.get("REPRO_SIM_ENGINE")
-    os.environ["REPRO_SIM_ENGINE"] = engine
-    try:
+    with _tick_path(path) as fired:
         scenario = (
             ScenarioBuilder(seed=seed, pcpus=pcpus, scheduler=scheduler)
             .with_worker_vm(vcpus)
@@ -106,12 +141,27 @@ def _run(engine, *, scheduler, config, seed, vcpus, pcpus, plan,
             )
             app.launch()
         scenario.run(until_ns)
-        return _observe(scenario)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SIM_ENGINE", None)
-        else:
-            os.environ["REPRO_SIM_ENGINE"] = previous
+        observed = _observe(scenario)
+    observed["tick_events"] = fired[0]
+    return observed
+
+
+def _cell_on_both_paths(cell) -> tuple[tuple[dict, int], tuple[dict, int]]:
+    """``results.to_dict(cell())`` on the per-tick and the default path,
+    each with the number of guest tick events it dispatched."""
+    runs = {}
+    for path in ("per-tick", "elided"):
+        with _tick_path(path) as fired:
+            runs[path] = (results.to_dict(cell()), fired[0])
+    return runs["per-tick"], runs["elided"]
+
+
+def _assert_identical(reference: dict, elided: dict) -> None:
+    """Equal in everything but the number of tick events dispatched."""
+    fired_reference = reference.pop("tick_events")
+    fired_elided = elided.pop("tick_events")
+    assert reference == elided
+    assert fired_elided <= fired_reference
 
 
 @settings(
@@ -126,32 +176,63 @@ def _run(engine, *, scheduler, config, seed, vcpus, pcpus, plan,
     ),
     seed=st.integers(min_value=0, max_value=2**16),
     vcpus=st.sampled_from([2, 4]),
+    pcpus=st.sampled_from([4, 16]),
     plan=st.sampled_from([None, STALL_PLAN, MIXED_PLAN]),
     until_ms=st.sampled_from([90, 131, 170]),
     with_app=st.booleans(),
 )
 def test_macro_is_bit_identical_to_wheel(
-    scheduler, config, seed, vcpus, plan, until_ms, with_app
+    scheduler, config, seed, vcpus, pcpus, plan, until_ms, with_app
 ):
     kwargs = dict(
         scheduler=scheduler,
         config=config,
         seed=seed,
         vcpus=vcpus,
-        pcpus=4,
+        pcpus=pcpus,
         plan=plan,
         until_ns=until_ms * MS,
         with_app=with_app,
     )
-    assert _run("wheel", **kwargs) == _run("macro", **kwargs)
+    _assert_identical(_run("per-tick", **kwargs), _run("elided", **kwargs))
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    vms=st.sampled_from([8, 20, 50]),
+    vcpus_per_vm=st.sampled_from([2, 4]),
+    duration_ms=st.sampled_from([100, 200, 300]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_macro_is_bit_identical_to_wheel_on_self_scaling_hosts(
+    vms, vcpus_per_vm, duration_ms, seed
+):
+    """Many self-scaling VMs on 16 pCPUs: every VM's daemon timer and
+    most tick chains start at t=0, so their grids collide at every
+    millisecond — where elided ticks must count and re-arm in exactly
+    the per-tick chain's order."""
+    (per_tick, _), (elided, _) = _cell_on_both_paths(
+        lambda: decentralization.run(
+            vms=vms,
+            pcpus=16,
+            vcpus_per_vm=vcpus_per_vm,
+            duration_ns=duration_ms * MS,
+            seed=seed,
+        )
+    )
+    assert per_tick == elided
 
 
 def test_macro_identical_across_freeze_edges():
     """An overcommitted vScale worker (4 vCPUs on a 2-pCPU pool) forces
     the daemon through freeze/unfreeze reconfigurations, tearing down
-    macro regions mid-span on the target vCPU and re-arming them on the
+    elision regions mid-span on the target vCPU and re-arming them on the
     survivors.  The run must still be bit-identical — and must actually
-    have exercised a freeze, or the test is vacuous."""
+    have exercised a freeze and elided ticks, or the test is vacuous."""
     kwargs = dict(
         scheduler=None,
         config=Config.VSCALE,
@@ -162,17 +243,17 @@ def test_macro_identical_across_freeze_edges():
         until_ns=400 * MS,
         with_app=True,
     )
-    wheel = _run("wheel", **kwargs)
-    macro = _run("macro", **kwargs)
-    assert wheel == macro
-    assert wheel["freeze_mask"], "scenario never froze a vCPU (vacuous)"
+    per_tick = _run("per-tick", **kwargs)
+    elided = _run("elided", **kwargs)
+    assert elided["tick_events"] < per_tick["tick_events"]
+    _assert_identical(per_tick, elided)
+    assert per_tick["freeze_mask"], "scenario never froze a vCPU (vacuous)"
 
 
 def test_macro_identical_under_scripted_daemon_stalls():
     """Scripted + stochastic daemon stalls leave the worker guest idle
-    for multi-period spans — exactly the infinite-horizon regions the
-    macro engine elides wholesale — and their fault-RNG draws must land
-    on the same reads under both engines."""
+    for multi-period spans, and their fault-RNG draws must land on the
+    same reads with and without elision."""
     kwargs = dict(
         scheduler=None,
         config=Config.VSCALE,
@@ -183,10 +264,34 @@ def test_macro_identical_under_scripted_daemon_stalls():
         until_ns=250 * MS,
         with_app=True,
     )
-    wheel = _run("wheel", **kwargs)
-    macro = _run("macro", **kwargs)
-    assert wheel == macro
-    assert wheel["fault_stats"] is not None
-    assert "daemon_stalls=0" not in wheel["fault_stats"], (
+    per_tick = _run("per-tick", **kwargs)
+    elided = _run("elided", **kwargs)
+    assert elided["tick_events"] < per_tick["tick_events"]
+    _assert_identical(per_tick, elided)
+    assert per_tick["fault_stats"] is not None
+    assert "daemon_stalls=0" not in per_tick["fault_stats"], (
         "no stall ever injected (vacuous)"
     )
+
+
+def test_decentralized_host_matches_per_tick_reference():
+    """50 two-vCPU VMs on 16 pCPUs: daemon timers armed at t=0 fire at
+    grid instants of vCPU tick chains, where an elided tick must count
+    only if it sorts before the event being dispatched."""
+    (per_tick, per_tick_ticks), (elided, elided_ticks) = _cell_on_both_paths(
+        lambda: decentralization.run(
+            vms=50, pcpus=16, vcpus_per_vm=2, duration_ns=100 * MS, seed=0
+        )
+    )
+    assert per_tick == elided
+    assert elided_ticks < per_tick_ticks, "nothing elided (vacuous)"
+
+
+def test_apache_matches_per_tick_reference():
+    """Apache at 10k req/s: ticks of several vCPUs fall due at one
+    instant, and a re-armed tick must keep its chain's rank among them."""
+    (per_tick, per_tick_ticks), (elided, elided_ticks) = _cell_on_both_paths(
+        lambda: fig14.run_point(Config.VANILLA, 10000, duration_ns=200 * MS, seed=0)
+    )
+    assert per_tick == elided
+    assert elided_ticks < per_tick_ticks, "nothing elided (vacuous)"
