@@ -2,7 +2,7 @@
 """AST lint for nondeterminism hazards in the simulation stack.
 
 The whole repo rests on bit-for-bit reproducibility (pool==serial,
-wheel==heap, coalesce on==off, golden snapshots).  Those guarantees die
+wheel==heap, elided ticks==per-tick, golden snapshots).  Those guarantees die
 quietly when wall-clock time, the process-global RNG, object identities or
 hash-ordered set iteration leak into simulation state.  This lint walks the
 ASTs under ``src/repro`` and flags the four hazard classes:

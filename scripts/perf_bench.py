@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import os
 import platform
 import sys
 import time
@@ -269,57 +268,6 @@ def print_history(path: Path) -> int:
     return 0
 
 
-#: Cells the tick-elision gate times (elision only changes guest tick
-#: delivery, so only end-to-end cells can differ).
-_ENGINE_GATE_CELLS = (
-    "fig6_npb_cell",
-    "faults_cell",
-    "decentralized_50vm",
-    "fig4_dom0_sweep",
-)
-#: The gate's two tick paths: the default (ticks elided) and every tick
-#: fired as an event (``REPRO_COALESCE_TICKS=0``).
-_TICK_PATHS = {"per-tick": "0", "elided": "1"}
-
-
-def engine_gate(quick: bool, limit: float) -> int:
-    """Fail when tick elision is slower than firing every tick on any
-    e2e cell, i.e. when elision no longer pays for itself.
-
-    Runs the two paths *interleaved* (per-tick, elided, per-tick, ...)
-    and keeps each path's best time, so slow machine drift cancels out
-    instead of being attributed to whichever path ran last.  ``limit``
-    absorbs residual timer noise on cells where elision is only at par.
-    """
-    e2e = _load("e2e_bench")
-    failures = []
-    for cell in _ENGINE_GATE_CELLS:
-        fn = getattr(e2e, cell)
-        best = dict.fromkeys(_TICK_PATHS, float("inf"))
-        for path in best:  # one warm-up per path
-            os.environ["REPRO_COALESCE_TICKS"] = _TICK_PATHS[path]
-            fn(quick=quick)
-        for _ in range(3):
-            for path in best:
-                os.environ["REPRO_COALESCE_TICKS"] = _TICK_PATHS[path]
-                start = time.perf_counter()
-                fn(quick=quick)
-                best[path] = min(best[path], time.perf_counter() - start)
-        os.environ.pop("REPRO_COALESCE_TICKS", None)
-        ratio = best["elided"] / best["per-tick"]
-        status = "OK" if ratio <= 1.0 + limit else "FAIL"
-        print(f"  e2e.{cell:<24} per-tick {best['per-tick'] * 1e3:8.2f} ms  "
-              f"elided {best['elided'] * 1e3:8.2f} ms  ({ratio:.2f}x)  {status}")
-        if ratio > 1.0 + limit:
-            failures.append((cell, ratio))
-    if failures:
-        print("FAIL: tick elision slower than firing every tick on " +
-              ", ".join(f"{n} ({r:.2f}x)" for n, r in failures))
-        return 1
-    print("engine gate passed (tick elision at least on par with per-tick)")
-    return 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -347,23 +295,10 @@ def main() -> int:
     parser.add_argument("--history", action="store_true",
                         help="print the recorded per-bench trajectory from "
                              "the results file and exit (no benches run)")
-    parser.add_argument("--engine-gate", action="store_true",
-                        help="A/B the default tick path against "
-                             "REPRO_COALESCE_TICKS=0 on the e2e cells and "
-                             "fail if elision is slower; runs only this "
-                             "comparison")
-    parser.add_argument("--max-engine-slowdown", type=float, default=0.10,
-                        help="allowed elided-vs-per-tick slowdown in the "
-                             "engine gate before failing (default 0.10, "
-                             "absorbs timer noise on at-par cells)")
     args = parser.parse_args()
 
     if args.history:
         return print_history(args.output or REPO_ROOT / "BENCH_sim.json")
-    if args.engine_gate:
-        print(f"perf_bench: engine gate ({'quick' if args.quick else 'full'} "
-              f"sizes), python {platform.python_version()}")
-        return engine_gate(args.quick, args.max_engine_slowdown)
 
     print(f"perf_bench: {'quick' if args.quick else 'full'} run, "
           f"python {platform.python_version()}")

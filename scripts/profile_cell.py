@@ -14,7 +14,7 @@ Usage::
     python scripts/profile_cell.py e2e.fig6_npb_cell
     python scripts/profile_cell.py e2e.decentralized_50vm --quick \
         --top 40 --collapsed /tmp/decent.folded
-    REPRO_COALESCE_TICKS=0 python scripts/profile_cell.py e2e.fig6_npb_cell
+    REPRO_SCHEDULER=credit2 python scripts/profile_cell.py e2e.fig6_npb_cell
 
 Cells are named ``module.function`` exactly as in ``BENCH_sim.json``
 (``e2e.fig6_npb_cell`` is ``benchmarks/perf/e2e_bench.py::fig6_npb_cell``);

@@ -21,7 +21,6 @@ spin budgets therefore measure on-CPU time, exactly like a real busy-wait.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, TYPE_CHECKING
 
@@ -73,17 +72,6 @@ class GuestConfig:
     pv_spinlock: bool = False
     #: On-CPU spin budget before a pv-spinlock waiter yields.
     pv_spin_budget_ns: int = 30 * US
-    #: Elide scheduler ticks that are pure bookkeeping: while a vCPU is
-    #: runnable but off-CPU, and while it runs a lone thread (see
-    #: ``GuestKernel._macro_horizon``).  The elided ticks' counter bumps
-    #: are folded in arithmetically instead of firing one event per tick.
-    #: ``REPRO_COALESCE_TICKS=0`` flips the default off.  That is an A/B
-    #: timing switch, not an equivalence oracle: without coalescing, a
-    #: resumed vCPU's tick chain keeps its place in the same-instant order
-    #: instead of re-arming at resume, so results can differ.
-    coalesce_ticks: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_COALESCE_TICKS", "1") != "0"
-    )
     #: Extra bookkeeping for experiments.
     tags: dict = field(default_factory=dict)
 
@@ -156,8 +144,6 @@ class GuestKernel:
         #: Coalesced (virtualized) tick chains: due time of the next elided
         #: tick for a runnable-but-off-CPU vCPU, or None.  See _coalesce_fold.
         self._tick_virtual: list[int | None] = [None] * n
-        #: Tick elision, off-CPU (coalescing) and on-CPU (macro regions).
-        self._coalesce = self.config.coalesce_ticks
         #: Order key of each vCPU's tick chain: the rank drawn when the
         #: chain (re)started and the instant it armed its first tick (see
         #: _tick_key).
@@ -264,15 +250,14 @@ class GuestKernel:
                 event.cancel()
                 self._tick_events[i] = None
             return
-        if self._coalesce:
-            # Virtualize the tick chain while the vCPU waits for a pCPU:
-            # off-CPU ticks only bump interrupt counters, so they can be
-            # folded in arithmetically when the vCPU resumes.
-            event = self._tick_events[i]
-            if event is not None:
-                self._tick_virtual[i] = event.time
-                event.cancel()
-                self._tick_events[i] = None
+        # Virtualize the tick chain while the vCPU waits for a pCPU:
+        # off-CPU ticks only bump interrupt counters, so they can be
+        # folded in arithmetically when the vCPU resumes.
+        event = self._tick_events[i]
+        if event is not None:
+            self._tick_virtual[i] = event.time
+            event.cancel()
+            self._tick_events[i] = None
 
     def deliver_irq(self, vcpu: VCPU, irq: IRQ) -> None:
         i = vcpu.index
@@ -665,7 +650,7 @@ class GuestKernel:
         rq = self.runqueues[i]
         # Most ticks land on a vCPU with ready threads or none running,
         # where no region can open: skip the horizon call for them.
-        if self._coalesce and rq.current is not None and not rq.ready:
+        if rq.current is not None and not rq.ready:
             horizon = self._macro_horizon(i, due)
             if horizon != due:
                 self._macro_due[i] = due

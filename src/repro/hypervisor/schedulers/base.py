@@ -43,7 +43,6 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterator
 
-from repro.core.vec import clipped_add
 from repro.hypervisor.domain import VCPU, VCPUState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -177,27 +176,25 @@ class Scheduler:
         hi: float,
         shift: float = 0,
     ) -> None:
-        """Batch-apply one accounting epoch's clipped balance update.
+        """Apply one accounting epoch's clipped balance update in place.
 
         Sets every vCPU's balance to
         ``shift + min(hi, max(lo, credits + delta))`` — the shape shared by
         csched's per-period credit distribution (clamp to ±acct, no shift)
         and Credit2's global reset (clamp the carry-over, shift by the new
-        allotment).  The elementwise kernel is
-        :func:`repro.core.vec.clipped_add`: one numpy expression over the
-        whole batch when available, a bit-identical scalar loop otherwise,
-        so schedulers calling this hook keep working on a bare install.
-        Policies whose epoch update is not uniform across a batch (e.g.
-        per-vCPU deltas that depend on runtime history) simply keep their
-        scalar loops — the hook is an opt-in fast path, not a requirement.
+        allotment).  A clamped balance is the bound *object*, so an int
+        bound stays an int: checkpoint state serializes ``300`` and
+        ``300.0`` differently.  A zero shift is skipped rather than added,
+        because ``0 + -0.0`` is ``0.0``.  Policies whose epoch update is
+        not uniform across a batch (e.g. per-vCPU deltas that depend on
+        runtime history) keep their own loops.
         """
-        balances = clipped_add([v.credits for v in vcpus], delta, lo, hi)
         if shift:
-            for vcpu, balance in zip(vcpus, balances):
-                vcpu.credits = shift + balance
+            for vcpu in vcpus:
+                vcpu.credits = shift + min(hi, max(lo, vcpu.credits + delta))
         else:
-            for vcpu, balance in zip(vcpus, balances):
-                vcpu.credits = balance
+            for vcpu in vcpus:
+                vcpu.credits = min(hi, max(lo, vcpu.credits + delta))
 
 
 class QueueScheduler(Scheduler):

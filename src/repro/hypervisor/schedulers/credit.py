@@ -465,10 +465,10 @@ class CreditScheduler(Scheduler):
             share = pool_credit * weight_of[domain] / total_weight
             active = domain.active_vcpus()
             per_vcpu = share / len(active)
-            # One clipped add over the whole domain (vectorized when numpy
-            # is present); requeues read priorities, never credits, so
-            # splitting the update from the requeue loop is behaviorally
-            # identical to the old interleaved per-vCPU form.
+            # One clipped add over the whole domain; requeues read
+            # priorities, never credits, so splitting the update from the
+            # requeue loop is behaviorally identical to the old
+            # interleaved per-vCPU form.
             self.accounting_batch(active, per_vcpu, -acct, acct)
             for vcpu in active:
                 if vcpu.state is VCPUState.RUNNABLE and not vcpu.boosted:

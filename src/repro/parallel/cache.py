@@ -2,12 +2,14 @@
 
 A *cell* is a pure function of its parameters: the simulator draws all
 randomness from the explicit seed, so re-running a cell with the same
-(experiment, function, parameters, code) always produces the same result
-object.  That makes finished cells safe to memoize on disk: the cache key
-is a SHA-256 over the experiment name, the fully-qualified cell function,
-the canonicalized parameters (which include seed and work scale), and a
-fingerprint of the ``repro`` source tree, so any code change invalidates
-every prior entry.
+(experiment, function, parameters, scheduler, code) always produces the
+same result object.  That makes finished cells safe to memoize on disk:
+the cache key is a SHA-256 over the experiment name, the fully-qualified
+cell function, the canonicalized parameters (which include seed and work
+scale), the default scheduler (``REPRO_SCHEDULER`` or ``credit``, which
+every cell without an explicit scheduler runs on), and a fingerprint of
+the ``repro`` source tree, so any code change invalidates every prior
+entry.
 
 Entries are pickles stored under a two-level fan-out
 (``<root>/<key[:2]>/<key>.pkl``) and written atomically (temp file +
@@ -34,6 +36,8 @@ import tempfile
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterator
+
+from repro.hypervisor.schedulers import resolve_name
 
 #: Sentinel returned by :meth:`ResultCache.get` on a miss (``None`` is a
 #: legitimate cached value).
@@ -111,6 +115,7 @@ def cell_key(
         "experiment": experiment,
         "fn": f"{fn.__module__}:{fn.__qualname__}",
         "params": canonical(params),
+        "scheduler": resolve_name(None),
         "code": code_fingerprint() if fingerprint is None else fingerprint,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -315,7 +315,13 @@ class ParallelExecutor:
         futures: dict[concurrent.futures.Future, int] = {}
         for index in queue:
             runs[index].attempts += 1
-            future = pool.submit(_invoke, self._payload(specs, index))
+            try:
+                future = pool.submit(_invoke, self._payload(specs, index))
+            except BrokenProcessPool as exc:
+                # A worker died under an earlier cell before this one was
+                # queued: fail it like a queued cell of the dead pool.
+                future = concurrent.futures.Future()
+                future.set_exception(exc)
             futures[future] = index
         started_at: dict[concurrent.futures.Future, float] = {}
         outstanding = set(futures)

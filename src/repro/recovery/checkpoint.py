@@ -20,8 +20,8 @@ different processes.  Fingerprints are additionally *engine-invariant*:
 they hash a canonical view that drops guest tick events (tick elision
 represents elided tick chains as kernel bookkeeping rather than queue
 entries) and replaces absolute event sequence numbers with within-time
-ranks (the causal scheduling order, which all engines share).  The raw
-engine queue stays in the state dict for same-engine diagnostics.  The
+ranks (the causal scheduling order, which every queue shares).  The raw
+engine queue stays in the state dict for diagnostics.  The
 format is versioned (``FORMAT_VERSION``); bumping it invalidates stored
 checkpoints, never silently misreads them.
 """
@@ -128,7 +128,6 @@ def state_dict(machine: "Machine") -> dict:
         "version": FORMAT_VERSION,
         "at_ns": sim.now,
         "engine": {
-            "name": sim.engine,
             "seq": sim._seq,
             "events": sim.snapshot_events(),
         },

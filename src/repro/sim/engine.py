@@ -17,23 +17,15 @@ Design notes
   engine compacts them away in one O(n) pass, so a long-running simulation
   that arms-and-cancels timers (the guest tick chains do this constantly)
   never accumulates unbounded garbage.
-* Two interchangeable queue engines implement the same total order
-  ``(time, born, seq)``:
-
-  ``wheel`` (default)
-      A hierarchical timer wheel: a small sorted heap for the current ~1 ms
-      granule, 256 unsorted buckets covering the next ~268 ms, and an
-      overflow heap for far-future timers.  Most of the simulation's churn
-      (ticks, quanta, IPIs) lands in the near window where insertion is an
-      O(1) list append instead of an O(log n) heap sift, and heap entries
-      are plain ``(time, born, seq, event)`` tuples so comparisons run in C.
-
-  ``heap``
-      The reference engine: one binary heap.  Kept for differential testing
-      — both engines must produce bit-identical event orderings (keys are
-      unique, so ``(time, born, seq)`` is a total order and any correct
-      priority queue agrees).
-
+* The queue is a hierarchical timer wheel: a small sorted heap for the
+  current ~1 ms granule, 256 unsorted buckets covering the next ~268 ms,
+  and an overflow heap for far-future timers.  Most of the simulation's
+  churn (ticks, quanta, IPIs) lands in the near window where insertion is
+  an O(1) list append instead of an O(log n) heap sift, and heap entries
+  are plain ``(time, born, seq, event)`` tuples so comparisons run in C.
+  Keys are unique, so ``(time, born, seq)`` is a total order and any
+  correct priority queue fires the same sequence; the tests hold the wheel
+  to a plain binary heap (``tests/sim/heap_queue.py``).
 * ``peek_time`` and ``pending_count`` are O(1) amortized: the queue keeps a
   live-event counter, and peeking only pays for the tombstones it discards
   (work the next pop would have done anyway).
@@ -45,7 +37,6 @@ Design notes
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable
 
 #: log2 of the wheel granule: 2**20 ns ~= 1.05 ms, matching the guest tick.
@@ -77,7 +68,7 @@ class Event:
         seq: int,
         fn: Callable[..., None],
         args: tuple,
-        owner: "_HeapQueue | _WheelQueue | None" = None,
+        owner: "_WheelQueue | None" = None,
         born: int = 0,
     ):
         self.time = time
@@ -116,70 +107,6 @@ class Event:
 
 def _cancelled_fn(*_args: Any) -> None:  # pragma: no cover - never called
     raise AssertionError("cancelled event fired")
-
-
-class _HeapQueue:
-    """Reference engine: a single binary heap of ``(time, born, seq, event)``."""
-
-    __slots__ = ("_heap", "live", "_tombstones")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, Event]] = []
-        self.live = 0
-        self._tombstones = 0
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.time, event.born, event.seq, event))
-        self.live += 1
-
-    def note_cancel(self) -> None:
-        self.live -= 1
-        self._tombstones += 1
-        if self._tombstones > _COMPACT_FLOOR and self._tombstones > self.live:
-            self.compact()
-
-    def compact(self) -> None:
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(self._heap)
-        self._tombstones = 0
-
-    def peek(self) -> Event | None:
-        heap = self._heap
-        while heap:
-            event = heap[0][3]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._tombstones -= 1
-                continue
-            return event
-        return None
-
-    def pop_next(self, until: int | None) -> Event | None:
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
-                heappop(heap)
-                self._tombstones -= 1
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            heappop(heap)
-            self.live -= 1
-            return event
-        return None
-
-    def iter_live(self):
-        """Yield live events in arbitrary order, without mutating the queue.
-
-        Snapshot support: unlike :meth:`peek`/:meth:`pop_next` this never
-        discards tombstones, so calling it leaves the queue byte-identical.
-        """
-        for entry in self._heap:
-            if not entry[3].cancelled:
-                yield entry[3]
 
 
 class _WheelQueue:
@@ -351,9 +278,6 @@ class _WheelQueue:
         return True
 
 
-_ENGINES = {"wheel": _WheelQueue, "heap": _HeapQueue}
-
-
 class Simulator:
     """A single-clock discrete-event simulator.
 
@@ -370,19 +294,9 @@ class Simulator:
     100
     """
 
-    def __init__(self, engine: str | None = None) -> None:
-        if engine is None:
-            # All engines produce identical event orderings, so the choice
-            # is a pure performance knob; the env override lets the perf
-            # harness A/B them without threading a parameter everywhere.
-            engine = os.environ.get("REPRO_SIM_ENGINE", "wheel")
-        if engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {sorted(_ENGINES)}"
-            )
+    def __init__(self) -> None:
         self.now: int = 0
-        self.engine = engine
-        self._queue = _ENGINES[engine]()
+        self._queue = _WheelQueue()
         self._seq: int = 0
         #: The event being dispatched (after a stopped run or a ``step``,
         #: the last one dispatched); None when every event up to ``now``

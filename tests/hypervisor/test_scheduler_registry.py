@@ -122,10 +122,3 @@ class TestWiring:
     def test_host_config_rejects_unknown_scheduler(self):
         with pytest.raises(ValueError):
             HostConfig(pcpus=2, scheduler="nope")
-
-    def test_legacy_import_paths_still_work(self):
-        from repro.hypervisor.credit import CreditScheduler as LegacyCredit
-        from repro.hypervisor.vrt import VrtScheduler as LegacyVrt
-
-        assert LegacyCredit is CreditScheduler
-        assert LegacyVrt is VrtScheduler

@@ -20,7 +20,7 @@ class TestConfig:
             HostConfig(scheduler="lottery")
 
     def test_vrt_selected(self):
-        from repro.hypervisor.vrt import VrtScheduler
+        from repro.hypervisor.schedulers.vrt import VrtScheduler
 
         builder = vrt_stack()
         assert isinstance(builder.machine.scheduler, VrtScheduler)

@@ -81,6 +81,18 @@ def test_tuple_and_list_params_stay_distinct():
     assert key({"spins": (1, 2)}) != key({"spins": [1, 2]})
 
 
+def test_key_follows_the_default_scheduler(monkeypatch):
+    """A cell without an explicit scheduler runs on ``REPRO_SCHEDULER``'s
+    pick, so the key must change with it; unset means ``credit``."""
+    params = {"app": "cg", "seed": 3, "config": Config.VSCALE}
+    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+    default = key(params)
+    monkeypatch.setenv("REPRO_SCHEDULER", "credit")
+    assert key(params) == default
+    monkeypatch.setenv("REPRO_SCHEDULER", "cfs")
+    assert key(params) != default
+
+
 def test_key_stable_across_processes():
     """The key must not depend on per-process state like hash seeds."""
     params = {"app": "cg", "seed": 3, "work_scale": 0.25, "config": Config.VSCALE}

@@ -1,15 +1,17 @@
-"""Deterministic checkpoint/restore across the scheduler zoo x engines.
+"""Deterministic checkpoint/restore across the scheduler zoo x queues.
 
 The central contract of :mod:`repro.recovery.checkpoint`:
 
 * snapshots are *pure* — taking one leaves the run bit-identical to
   never snapshotting;
 * restore-then-run is bit-identical to straight-through, for every
-  registered scheduler under both event-queue engines;
+  registered scheduler, on the timer wheel and on the heap oracle
+  (:mod:`tests.sim.heap_queue`);
 * the state format is name-keyed, so fingerprints compare across
   independently built machines (the restore path depends on this).
 """
 
+import contextlib
 import json
 
 import pytest
@@ -20,9 +22,10 @@ from repro.hypervisor.machine import Machine
 from repro.hypervisor.schedulers import available
 from repro.recovery import RestoreMismatch, capture, fingerprint, restore, state_dict
 from repro.units import MS
+from tests.sim.heap_queue import HeapQueue, heap_engine
 
 ALL_SCHEDULERS = available()
-ENGINES = ("wheel", "heap")
+QUEUES = ("wheel", "heap")
 
 SNAP_NS = 40 * MS
 END_NS = 120 * MS
@@ -37,21 +40,22 @@ def _builder(scheduler, seed=7):
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("queue", QUEUES)
 @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
-def test_restore_then_run_is_bit_identical(scheduler, engine, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+def test_restore_then_run_is_bit_identical(scheduler, queue):
     build = lambda: _builder(scheduler).build()
+    with heap_engine() if queue == "heap" else contextlib.nullcontext():
+        straight = build()
+        straight.start()
+        straight.run(SNAP_NS)
+        checkpoint = straight.machine.snapshot()
 
-    straight = build()
-    straight.start()
-    straight.run(SNAP_NS)
-    checkpoint = straight.machine.snapshot()
+        restored = restore(checkpoint, build)
 
-    restored = restore(checkpoint, build)
-
-    straight.run(END_NS)
-    restored.run(END_NS)
+        straight.run(END_NS)
+        restored.run(END_NS)
+    for scenario in (straight, restored):
+        assert isinstance(scenario.machine.sim._queue, HeapQueue) == (queue == "heap")
     assert fingerprint(state_dict(straight.machine)) == fingerprint(
         state_dict(restored.machine)
     )

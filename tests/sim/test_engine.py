@@ -198,11 +198,6 @@ def test_order_key_places_event_by_born_then_seq():
     assert fired == ["born0", "keyed-born3", "born5", "born5-later"]
 
 
-def test_unknown_engine_is_rejected():
-    with pytest.raises(ValueError, match="unknown engine"):
-        Simulator(engine="macro")
-
-
 def test_current_is_the_dispatching_event():
     sim = Simulator()
     seen = []

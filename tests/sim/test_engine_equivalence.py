@@ -1,16 +1,16 @@
 """Wheel-vs-heap engine equivalence.
 
-The timer-wheel and binary-heap queues must be observationally identical:
-the (time, born, seq) total order fully determines firing order, so any
-correct priority queue produces the same simulation.  These tests drive
-both engines through the same program — including cancellations, nested
-scheduling, and delays spanning granule/window/far-heap boundaries — and
-require identical traces.
+The simulator's timer wheel must be observationally identical to the
+binary-heap oracle (:mod:`tests.sim.heap_queue`): the (time, born, seq)
+total order fully determines firing order, so any correct priority queue
+produces the same simulation.  These tests drive both queues through the
+same program — including cancellations, nested scheduling, and delays
+spanning granule/window/far-heap boundaries — and require identical traces.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Simulator
+from tests.sim.heap_queue import simulator
 
 #: Wheel geometry, mirrored from the engine: ~1.05 ms granules, ~268 ms window.
 GRANULE = 1 << 20
@@ -39,7 +39,7 @@ _delays = st.one_of(
 
 def _run_program(engine, schedules, cancel_indices, followups):
     """Execute one schedule/cancel program, returning the full trace."""
-    sim = Simulator(engine=engine)
+    sim = simulator(engine)
     fired = []
     events = []
 
@@ -80,7 +80,7 @@ def test_engines_agree_on_tick_chain_across_window():
     """A 1 ms tick chain walks every granule boundary across many windows."""
 
     def run(engine):
-        sim = Simulator(engine=engine)
+        sim = simulator(engine)
         fired = []
 
         def tick():
@@ -97,7 +97,7 @@ def test_engines_agree_on_tick_chain_across_window():
 
 def test_engines_agree_with_interleaved_cancel_and_far_events():
     def run(engine):
-        sim = Simulator(engine=engine)
+        sim = simulator(engine)
         fired = []
         # A far event beyond the window, a bucket event, and a near chain
         # that cancels and reschedules the bucket event as it goes.
@@ -125,7 +125,7 @@ def test_engines_agree_on_keyed_events():
     windows, and interleaved with ordinary same-time events."""
 
     def run(engine):
-        sim = Simulator(engine=engine)
+        sim = simulator(engine)
         fired = []
         ranks = [sim.next_seq(), sim.next_seq()]
 
@@ -145,10 +145,3 @@ def test_engines_agree_on_keyed_events():
 
     assert run("wheel") == run("heap")
 
-
-def test_engine_selection_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "heap")
-    assert Simulator().engine == "heap"
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "wheel")
-    assert Simulator().engine == "wheel"
-    assert Simulator(engine="heap").engine == "heap"
