@@ -118,62 +118,98 @@ def compute_extendability(
     names = [u.name for u in usages]
     if len(set(names)) != len(names):
         raise ValueError("duplicate VM names in usage list")
-
-    total_weight = sum(u.weight for u in usages)
-    capacity = pool_pcpus * period_ns
-
-    slack = 0.0
-    competitors: list[VMUsage] = []
-    fair_share: dict[str, float] = {}
-    extendability: dict[str, float] = {}
-
-    for usage in usages:
-        s_fair = usage.weight / total_weight * capacity
-        fair_share[usage.name] = s_fair
-        # A cap below the fair share limits what the VM may consume, and
-        # therefore what it releases or competes for.
-        effective_fair = s_fair
-        if usage.cap is not None:
-            effective_fair = min(effective_fair, usage.cap * period_ns)
-        if usage.consumed_ns < effective_fair * (1.0 - competitor_tolerance):
-            # Releaser: contributes slack; extendability pinned to fair
-            # share so its deserved parallelism stays available.
-            slack += effective_fair - usage.consumed_ns
-            extendability[usage.name] = effective_fair
-        else:
-            competitors.append(usage)
-
-    competitor_weight = sum(u.weight for u in competitors)
-    competitor_names = {u.name for u in competitors}
-    for usage in competitors:
-        s_fair = fair_share[usage.name]
-        share_of_slack = (usage.weight / competitor_weight) * slack
-        extendability[usage.name] = s_fair + share_of_slack
-
-    results: dict[str, ExtendabilityResult] = {}
-    for usage in usages:
-        ext = extendability[usage.name]
-        # Reservation (lower bound) and cap (upper bound), both in pCPUs.
-        ext = max(ext, usage.reservation * period_ns)
-        if usage.cap is not None:
-            ext = min(ext, usage.cap * period_ns)
-        ext = min(ext, capacity)
-        n = math.ceil(ext / period_ns - _CEIL_EPSILON)
-        n = max(1, min(n, pool_pcpus))
-        if usage.max_vcpus is not None:
-            n = min(n, usage.max_vcpus)
-        results[usage.name] = ExtendabilityResult(
-            name=usage.name,
-            fair_share_ns=round(fair_share[usage.name]),
-            extendability_ns=round(ext),
-            optimal_vcpus=n,
-            is_competitor=usage.name in competitor_names,
-        )
-    return results
+    rows = [(u.weight, u.consumed_ns, u.reservation, u.cap, u.max_vcpus) for u in usages]
+    outcomes = _algorithm1(rows, pool_pcpus, period_ns, competitor_tolerance)
+    return _results(names, outcomes)
 
 
 #: Guard against float noise pushing e.g. exactly-2.0 pCPUs to ceil() == 3.
 _CEIL_EPSILON = 1e-9
+
+#: One VM's input to :func:`_algorithm1`: the :class:`VMUsage` fields
+#: without the name — ``(weight, consumed_ns, reservation, cap, max_vcpus)``.
+_Row = tuple[int, int, float, float | None, int | None]
+#: One VM's output: ``(fair_share, extendability, n_i, is_competitor)``, both
+#: shares in unrounded ns of pCPU time per period.
+_Outcome = tuple[float, float, int, bool]
+
+
+def _algorithm1(
+    rows: Sequence[_Row], pool_pcpus: int, period_ns: int, tolerance: float
+) -> list[_Outcome]:
+    """Algorithm 1 over plain rows: one outcome per row, in input order.
+
+    The only implementation of the algorithm.  :func:`compute_extendability`
+    and the hypervisor ticker both call it, and their published values are
+    ``round()`` of the shares returned here.  Inputs are trusted (the
+    callers validate them).
+
+    The clamps are comparisons, not ``min()``/``max()`` calls: a builtin
+    call costs more than the rest of a row's arithmetic, and
+    ``if b > a: a = b`` keeps exactly the object ``max(a, b)`` returns
+    (likewise ``<`` for ``min``).
+    """
+    total_weight = sum(row[0] for row in rows)
+    capacity = pool_pcpus * period_ns
+    threshold = 1.0 - tolerance
+
+    slack = 0.0
+    competitor_weight = 0
+    fair_shares: list[float] = []
+    # A releaser's extendability (its effective fair share); None marks a
+    # competitor, whose extendability needs the final slack.
+    pinned: list[float | None] = []
+    for weight, consumed, _reservation, cap, _max_vcpus in rows:
+        s_fair = weight / total_weight * capacity
+        fair_shares.append(s_fair)
+        # A cap below the fair share limits what the VM may consume, and
+        # therefore what it releases or competes for.
+        effective_fair = s_fair
+        if cap is not None:
+            ceiling = cap * period_ns
+            if ceiling < effective_fair:
+                effective_fair = ceiling
+        if consumed < effective_fair * threshold:
+            # Releaser: contributes slack; extendability pinned to fair
+            # share so its deserved parallelism stays available.
+            slack += effective_fair - consumed
+            pinned.append(effective_fair)
+        else:
+            competitor_weight += weight
+            pinned.append(None)
+
+    outcomes: list[_Outcome] = []
+    for (weight, _consumed, reservation, cap, max_vcpus), s_fair, ext in zip(rows, fair_shares, pinned):
+        competitor = ext is None
+        if ext is None:
+            # Competitor: fair share plus a weight-proportional slack slice.
+            ext = s_fair + (weight / competitor_weight) * slack
+        # Reservation (lower bound) and cap (upper bound), both in pCPUs.
+        floor = reservation * period_ns
+        if floor > ext:
+            ext = floor
+        if cap is not None:
+            ceiling = cap * period_ns
+            if ceiling < ext:
+                ext = ceiling
+        if capacity < ext:
+            ext = capacity
+        n = math.ceil(ext / period_ns - _CEIL_EPSILON)
+        if pool_pcpus < n:
+            n = pool_pcpus
+        if n < 1:
+            n = 1
+        if max_vcpus is not None and max_vcpus < n:
+            n = max_vcpus
+        outcomes.append((s_fair, ext, n, competitor))
+    return outcomes
+
+
+def _results(names: Sequence[str], outcomes: Sequence[_Outcome]) -> dict[str, ExtendabilityResult]:
+    return {
+        name: ExtendabilityResult(name, round(fair), round(ext), n, competitor)
+        for name, (fair, ext, n, competitor) in zip(names, outcomes)
+    }
 
 
 class VScaleExtension:
@@ -201,13 +237,22 @@ class VScaleExtension:
     def __init__(self, machine: "Machine"):
         self.machine = machine
         self.period_ns = machine.config.vscale_period_ns
+        if self.period_ns <= 0:
+            raise ValueError("vScale period must be positive")
         self._last_consumed: dict[str, int] = {}
         self._ewma: dict[str, float] = {}
         self._running = False
-        #: Exposed for tests: the most recent full result set.
-        self.last_results: dict[str, ExtendabilityResult] = {}
+        # The last pass's domains and Algorithm 1 outcomes, from which
+        # ``last_results`` is built when read.
+        self._last_pass: tuple[tuple["Domain", ...], list[_Outcome]] = ((), [])
         #: Count of reconfigurations observed (freeze/unfreeze hypercalls).
         self.reconfigurations: dict[str, int] = {}
+
+    @property
+    def last_results(self) -> dict[str, ExtendabilityResult]:
+        """The most recent pass's full result set, built when read (tests)."""
+        domains, outcomes = self._last_pass
+        return _results([domain.name for domain in domains], outcomes)
 
     def start(self) -> None:
         if self._running:
@@ -219,57 +264,56 @@ class VScaleExtension:
         self.recompute()
         self.machine.sim.schedule(self.period_ns, self._ticker)
 
-    def recompute(self) -> dict[str, ExtendabilityResult]:
-        """One vscale_ticker_fn invocation (callable directly from tests)."""
+    def recompute(self) -> None:
+        """One vscale_ticker_fn invocation (callable directly from tests).
+
+        Samples every domain straight into an Algorithm 1 row and publishes
+        the outcome into the SMP domains' structs.  The :class:`VMUsage` and
+        :class:`ExtendabilityResult` views are built only for an installed
+        sanitizer, and for ``last_results`` when it is read.
+        """
         machine = self.machine
         now = machine.sim.now
-        usages = []
-        for domain in machine.domains:
+        domains = tuple(machine.domains)
+        last_consumed = self._last_consumed
+        ewma = self._ewma
+        rows: list[_Row] = []
+        for domain in domains:
+            name = domain.name
+            vcpus = domain.vcpus
             consumed_total = domain.total_consumed_ns
             # Include the in-flight running intervals so a domain that has
             # been on-CPU for the whole period is seen as consuming.
-            for vcpu in domain.vcpus:
-                if vcpu.run_started_at is not None:
-                    consumed_total += now - vcpu.run_started_at
-            previous = self._last_consumed.get(domain.name, 0)
-            consumed = max(0, consumed_total - previous)
-            self._last_consumed[domain.name] = consumed_total
-            smoothed = self._ewma.get(domain.name, float(consumed))
+            for vcpu in vcpus:
+                started = vcpu.run_started_at
+                if started is not None:
+                    consumed_total += now - started
+            consumed = consumed_total - last_consumed.get(name, 0)
+            if consumed < 0:
+                consumed = 0
+            last_consumed[name] = consumed_total
+            smoothed = ewma.get(name, float(consumed))
             smoothed += self.EWMA_ALPHA * (consumed - smoothed)
-            self._ewma[domain.name] = smoothed
-            usages.append(
-                VMUsage(
-                    name=domain.name,
-                    weight=domain.weight,
-                    consumed_ns=round(smoothed),
-                    reservation=domain.reservation,
-                    cap=domain.cap,
-                    max_vcpus=len(domain.vcpus),
-                )
-            )
-        results = compute_extendability(
-            usages,
-            pool_pcpus=machine.config.pcpus,
-            period_ns=self.period_ns,
-            competitor_tolerance=self.COMPETITOR_TOLERANCE,
-        )
-        for domain in machine.domains:
-            result = results[domain.name]
+            ewma[name] = smoothed
+            rows.append((domain.weight, round(smoothed), domain.reservation, domain.cap, len(vcpus)))
+        pcpus = machine.config.pcpus
+        outcomes = _algorithm1(rows, pcpus, self.period_ns, self.COMPETITOR_TOLERANCE)
+        for domain, (_fair, ext, n, _competitor) in zip(domains, outcomes):
             if len(domain.vcpus) > 1:  # UP-VMs are omitted (no room to scale)
-                domain.extendability_ns = result.extendability_ns
-                domain.optimal_vcpus = result.optimal_vcpus
+                domain.extendability_ns = round(ext)
+                domain.optimal_vcpus = n
                 domain.extendability_published_ns = now
-        self.last_results = results
+        self._last_pass = (domains, outcomes)
         sanitizer = machine.sanitizer
         if sanitizer is not None:
+            names = [domain.name for domain in domains]
             sanitizer.check_extendability(
-                usages,
-                results,
-                pool_pcpus=machine.config.pcpus,
+                [VMUsage(name, *row) for name, row in zip(names, rows)],
+                _results(names, outcomes),
+                pool_pcpus=pcpus,
                 period_ns=self.period_ns,
                 tolerance=self.COMPETITOR_TOLERANCE,
             )
-        return results
 
     def read(self, domain: "Domain") -> tuple[int, int]:
         """Serve SCHEDOP_getvscaleinfo for one domain."""

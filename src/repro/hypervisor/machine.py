@@ -169,10 +169,16 @@ class Machine:
         return domain
 
     def install_vscale(self) -> "VScaleExtension":
-        """Install the vScale scheduler extension (extendability ticker)."""
+        """Install the vScale scheduler extension (extendability ticker).
+
+        Only ``start()`` arms the ticker, so the extension must be installed
+        before it; a repeat call returns the installed extension.
+        """
         from repro.core.extendability import VScaleExtension
 
         if self.vscale is None:
+            if self._started:
+                raise RuntimeError("the vScale extension must be installed before start()")
             self.vscale = VScaleExtension(self)
         return self.vscale
 

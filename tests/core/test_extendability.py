@@ -5,8 +5,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.extendability import VMUsage, compute_extendability
+from repro.core.extendability import VMUsage, _algorithm1, compute_extendability
 from repro.units import MS
+from tests.core.ticker_oracle import reference_extendability, reference_shares
 
 PERIOD = 10 * MS
 
@@ -63,6 +64,14 @@ class TestPaperExamples:
         result = compute_extendability(usages, pool_pcpus=4, period_ns=PERIOD)
         for row in result.values():
             assert row.optimal_vcpus == 2  # 2.0 pCPUs, not ceil -> 3
+
+    def test_float_noise_does_not_add_a_vcpu(self):
+        # a's share computes to 4 pCPUs plus one ulp (b's slack split two
+        # ways); the ceiling's epsilon keeps it at 4 vCPUs, not 5.
+        usages = [usage("a", 768, 32 * PERIOD), usage("b", 5, 0), usage("c", 768, 32 * PERIOD)]
+        result = compute_extendability(usages, pool_pcpus=8, period_ns=PERIOD)
+        assert result["a"].extendability_ns == 4 * PERIOD
+        assert result["a"].optimal_vcpus == 4
 
     def test_cap_clamps_extendability(self):
         usages = [usage("a", 256, 4 * PERIOD, cap=1.5), usage("b", 256, 0)]
@@ -207,3 +216,30 @@ def test_scaling_consumption_never_lowers_own_extendability(vms, pcpus):
     ]
     bumped = compute_extendability(boosted, pcpus, PERIOD)
     assert bumped["vm0"].extendability_ns >= base["vm0"].extendability_ns - 2
+
+
+@given(vm_lists, st.integers(min_value=1, max_value=16), st.data())
+@settings(max_examples=200)
+def test_matches_reference_body(vms, pcpus, data):
+    """The row core matches the dict-based body bit for bit, unrounded
+    shares included, with caps, reservations, vCPU limits and tolerances."""
+    usages = [
+        usage(
+            f"vm{i}",
+            w,
+            c,
+            cap=data.draw(st.none() | st.floats(min_value=0.1, max_value=16.0) | st.integers(1, 16)),
+            reservation=data.draw(st.just(0.0) | st.floats(min_value=0.0, max_value=4.0)),
+            max_vcpus=data.draw(st.none() | st.integers(min_value=1, max_value=16)),
+        )
+        for i, (w, c) in enumerate(vms)
+    ]
+    tolerance = data.draw(st.sampled_from([0.0, 0.05]) | st.floats(min_value=0.0, max_value=0.5))
+    result = compute_extendability(usages, pcpus, PERIOD, tolerance)
+    expected = reference_extendability(usages, pcpus, PERIOD, tolerance)
+    assert list(result.items()) == list(expected.items())
+    # repr() is exact for floats and tells 2 from 2.0 (an int cap that binds).
+    rows = [(u.weight, u.consumed_ns, u.reservation, u.cap, u.max_vcpus) for u in usages]
+    outcomes = _algorithm1(rows, pcpus, PERIOD, tolerance)
+    shares = reference_shares(usages, pcpus, PERIOD, tolerance)
+    assert [repr(o) for o in outcomes] == [repr(o) for o in shares.values()]
