@@ -1,9 +1,7 @@
 """Tests for the benchmark suite's shared plumbing (no long runs)."""
 
 import importlib.util
-import os
 import pathlib
-import sys
 
 
 def _load_bench_conftest():
@@ -47,122 +45,3 @@ def test_every_paper_artifact_has_a_bench():
     }
     assert expected <= names, expected - names
 
-
-# ----------------------------------------------------------------------
-# perf_bench.py harness plumbing (no timed runs)
-# ----------------------------------------------------------------------
-
-def _load_perf_bench():
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "perf_bench.py"
-    spec = importlib.util.spec_from_file_location("perf_bench", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_perf_bench_lineage_migrates_schema1_and_keeps_seed(tmp_path):
-    import json
-
-    module = _load_perf_bench()
-    output = tmp_path / "BENCH.json"
-    # Schema-1 file: "before" was the seed measurement of the original tree.
-    output.write_text(json.dumps({
-        "before": {"a": {"seconds": 4.0}},
-        "after": {"a": {"seconds": 2.0}},
-        "quick": {"a": {"seconds": 0.5}},
-    }))
-
-    payload: dict = {}
-    module.apply_lineage(payload, {"a": {"seconds": 1.0}}, output, "pr-n", None)
-    assert payload["seed_baseline"]["a"]["seconds"] == 4.0
-    assert payload["before"]["a"]["seconds"] == 2.0  # previous after
-    assert payload["after"]["a"]["seconds"] == 1.0
-    assert payload["speedup"]["a"] == 4.0  # always vs seed, not vs before
-    assert payload["quick"]["a"]["seconds"] == 0.5  # reference column survives
-    assert [run["label"] for run in payload["history"]] == ["pr-n"]
-
-    # A second recorded run must never overwrite the seed baseline.
-    output.write_text(json.dumps(payload))
-    payload2: dict = {}
-    module.apply_lineage(payload2, {"a": {"seconds": 0.5}}, output, None, None)
-    assert payload2["seed_baseline"]["a"]["seconds"] == 4.0
-    assert payload2["before"]["a"]["seconds"] == 1.0
-    assert payload2["speedup"]["a"] == 8.0
-    assert len(payload2["history"]) == 2
-
-
-def test_perf_bench_merge_baseline_file_seeds_lineage(tmp_path):
-    import json
-
-    module = _load_perf_bench()
-    output = tmp_path / "BENCH.json"  # does not exist: first ever run
-    baseline = tmp_path / "before.json"
-    baseline.write_text(json.dumps({"benches": {"a": {"seconds": 2.0}}}))
-    payload: dict = {}
-    module.apply_lineage(
-        payload, {"a": {"seconds": 1.0}}, output, None, baseline
-    )
-    assert payload["seed_baseline"]["a"]["seconds"] == 2.0
-    assert payload["before"]["a"]["seconds"] == 2.0
-    assert payload["speedup"]["a"] == 2.0
-
-
-def test_perf_bench_regression_gate(tmp_path, capsys):
-    import json
-
-    module = _load_perf_bench()
-    reference = tmp_path / "ref.json"
-    reference.write_text(json.dumps({"after": {"a": {"seconds": 1.0}}}))
-    # 20% slower: within the 30% budget.
-    assert module.check_regressions(
-        {"a": {"seconds": 1.2}}, reference, 0.30, quick=False
-    ) == 0
-    # 50% slower: fails.
-    assert module.check_regressions(
-        {"a": {"seconds": 1.5}}, reference, 0.30, quick=False
-    ) == 1
-
-
-def test_perf_bench_quick_gate_uses_quick_column(tmp_path):
-    import json
-
-    module = _load_perf_bench()
-    reference = tmp_path / "ref.json"
-    # Full numbers would flag this quick run; the quick column must win.
-    reference.write_text(json.dumps(
-        {"after": {"a": {"seconds": 0.01}}, "quick": {"a": {"seconds": 1.0}}}
-    ))
-    assert module.check_regressions(
-        {"a": {"seconds": 1.1}}, reference, 0.30, quick=True
-    ) == 0
-    # And a missing quick column is a no-op, not a spurious failure.
-    reference.write_text(json.dumps({"after": {"a": {"seconds": 0.01}}}))
-    assert module.check_regressions(
-        {"a": {"seconds": 1.1}}, reference, 0.30, quick=True
-    ) == 0
-
-
-def test_perf_bench_modules_load_and_declare_benches():
-    module = _load_perf_bench()
-    engine = module._load("engine_bench")
-    for name in ("tick_chains", "deep_queue", "cancel_churn", "peek_monitor"):
-        assert callable(getattr(engine, name))
-    e2e = module._load("e2e_bench")
-    for name in ("fig6_npb_cell", "faults_cell", "decentralized_50vm",
-                 "fig4_dom0_sweep"):
-        assert callable(getattr(e2e, name))
-    assert callable(module._load("rng_bench").fault_decisions)
-    assert callable(module._load("memory_bench").object_sizes)
-
-
-def test_memory_census_shows_slotted_objects_are_small():
-    module = _load_perf_bench()
-    sizes = module._load("memory_bench").object_sizes(count=2_000)
-    # Losing __slots__ adds a ~104-byte __dict__ per object; the ceilings
-    # sit between the slotted size (thread includes its behavior generator
-    # and name string) and the unslotted one, so they catch the regression
-    # without being allocator-sensitive.
-    assert sizes["thread_bytes"] < 700
-    assert sizes["runqueue_bytes"] < 250
-    assert sizes["irq_bytes"] < 220
-    assert sizes["scheduled_event_bytes"] < 290
