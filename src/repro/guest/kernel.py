@@ -46,6 +46,17 @@ from repro.units import MS, US
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hypervisor.domain import Domain
 
+# Enum members read on every event, as module constants: on Python 3.11 a
+# global load takes ~16 ns, ``VCPUState.FROZEN`` ~155 ns.
+_VCPU_BLOCKED = VCPUState.BLOCKED
+_VCPU_FROZEN = VCPUState.FROZEN
+_THREAD_READY = ThreadState.READY
+_THREAD_RUNNING = ThreadState.RUNNING
+_THREAD_BLOCKED = ThreadState.BLOCKED
+_RESCHED_IPI = IRQClass.RESCHED_IPI
+_EVTCHN = IRQClass.EVTCHN
+_CALL_IPI = IRQClass.CALL_IPI
+
 
 @dataclass
 class GuestConfig:
@@ -154,7 +165,6 @@ class GuestKernel:
         self._macro_due: list[int | None] = [None] * n
         #: vCPUs with an open macro region.
         self._macro_active: set[int] = set()
-        self._ticks_seen = [0] * n
         #: vCPU index currently executing kernel code, for IPI attribution.
         self._context: int | None = None
         #: Migration work pending on a freezing vCPU (thread list).
@@ -162,7 +172,9 @@ class GuestKernel:
         #: vCPUs with a deferred wakeup-preemption check queued.
         self._preempt_pending: set[int] = set()
         self.threads: list[Thread] = []
-        #: Per-vCPU virtual timer interrupt counters (Table 2).
+        #: Per-vCPU virtual timer interrupt counters (Table 2).  Every
+        #: counted tick, fired or folded, bumps its vCPU's counter, so the
+        #: tick handler also reads it for the load-balance interval.
         self.timer_interrupts = [Counter() for _ in range(n)]
         #: Per-vCPU sent reschedule IPI counters.
         self.ipi_sent = [Counter() for _ in range(n)]
@@ -264,17 +276,17 @@ class GuestKernel:
         previous_context = self._context
         self._context = i
         try:
-            if irq.irq_class is IRQClass.RESCHED_IPI:
+            if irq.irq_class is _RESCHED_IPI:
                 if i in self.cpu_freeze_mask and i not in self._freeze_migration:
                     self._start_freeze_migration(i)
                 else:
                     self._dispatch(i)
-            elif irq.irq_class is IRQClass.EVTCHN:
+            elif irq.irq_class is _EVTCHN:
                 channel = irq.channel
                 if channel is not None and channel.handler is not None:
                     channel.handler(irq.payload)
                 self._dispatch(i)
-            elif irq.irq_class is IRQClass.CALL_IPI:
+            elif irq.irq_class is _CALL_IPI:
                 # smp_call_function: only the shutdown path uses this; the
                 # handler itself is a no-op for our workloads.
                 self._dispatch(i)
@@ -309,7 +321,7 @@ class GuestKernel:
         rq.current = nxt
         rq.picked_at = self.sim.now
         rq.pending_overhead_ns += self.config.ctx_switch_ns
-        nxt.state = ThreadState.RUNNING
+        nxt.state = _THREAD_RUNNING
         self._advance(i)
 
     def _go_idle(self, i: int) -> None:
@@ -340,7 +352,10 @@ class GuestKernel:
                 self._context = previous_context
             thread.send_value = None
         action = thread.action
-        if isinstance(action, Exit):
+        # Compute first: threads yield it more than any other action.
+        if isinstance(action, Compute):
+            self._begin_timed(i, thread, action.remaining_ns, outcome=None)
+        elif isinstance(action, Exit):
             self._thread_done(i, thread)
         elif isinstance(action, YieldCPU):
             thread.action = None
@@ -355,14 +370,12 @@ class GuestKernel:
             if action.waitable.latched:
                 self._advance(i)  # already fired: do not sleep
                 return
-            thread.state = ThreadState.BLOCKED
+            thread.state = _THREAD_BLOCKED
             action.waitable.add_blocked(thread)
             rq.current = None
             rq.advance_min_vruntime()
             self._macro_refresh_one(i)
             self._dispatch(i)
-        elif isinstance(action, Compute):
-            self._begin_timed(i, thread, action.remaining_ns, outcome=None)
         elif isinstance(action, SpinWait):
             self._begin_spin(i, thread, action)
         else:
@@ -473,7 +486,7 @@ class GuestKernel:
         self._pause_current_action(i)
         rq.current = None
         if to_ready:
-            thread.state = ThreadState.READY
+            thread.state = _THREAD_READY
             rq.enqueue(thread)
         rq.advance_min_vruntime()
         if to_ready:
@@ -491,13 +504,13 @@ class GuestKernel:
         vCPU — the paper's Figure 1(b) delay happens exactly here when that
         vCPU is preempted.
         """
-        if thread.state is not ThreadState.BLOCKED:
+        if thread.state is not _THREAD_BLOCKED:
             return
         target = self._select_rq(thread, reason="wakeup")
         rq = self.runqueues[target]
         floor = rq.min_vruntime - self.config.sched_latency_ns
         thread.vruntime = max(thread.vruntime, floor)
-        thread.state = ThreadState.READY
+        thread.state = _THREAD_READY
         rq.enqueue(thread)
         self._macro_refresh()  # the enqueue changed loads everywhere
         sanitizer = self.machine.sanitizer
@@ -593,19 +606,19 @@ class GuestKernel:
         if waker is None:
             # External context (device completion, timer): no guest vCPU is
             # the sender; wake the vCPU directly if it sleeps.
-            if dst.state is VCPUState.BLOCKED:
+            if dst.state is _VCPU_BLOCKED:
                 self.machine.hyp_wake(dst)
             return
         src = self.domain.vcpus[waker]
         self.ipi_sent[waker].inc()
-        self.machine.hyp_send_ipi(src, dst, IRQClass.RESCHED_IPI)
+        self.machine.hyp_send_ipi(src, dst, _RESCHED_IPI)
 
     def _kick_vcpu(self, i: int) -> None:
         """After enqueueing work on vCPU i from outside, make sure it runs."""
         vcpu = self.domain.vcpus[i]
         if self._context is not None and self._context != i:
             self._send_resched_ipi(self._context, i)
-        elif vcpu.state is VCPUState.BLOCKED:
+        elif vcpu.state is _VCPU_BLOCKED:
             self.machine.hyp_wake(vcpu)
         elif self._executing[i]:
             self._maybe_preempt_current(i)
@@ -706,6 +719,13 @@ class GuestKernel:
         the periodic load balance can act, every ``lb_interval_ticks``
         ticks, when a sibling queue is busy enough to steal from.
 
+        That test asks whether *any* sibling has a load of three and a
+        stealable thread, not only the busiest one the balance will pick.
+        A block or exit refreshes only its own vCPU's region, yet it can
+        make a sibling with stealable threads the busiest; the any-sibling
+        answer cannot turn true on a load decrease, so a horizon kept
+        across one is never late.
+
         The proof obligation: between region open and the first mutation of
         any input read below, every elided tick's handler reduces to the
         counter bumps `_macro_fold` applies.  All inputs are guarded by
@@ -720,20 +740,18 @@ class GuestKernel:
             or i in self.cpu_freeze_mask
         ):
             return due
-        busiest = None
-        busiest_load = -1
-        for j, sibling in enumerate(self.runqueues):
-            if j != i:
-                load = len(sibling.ready) + (1 if sibling.current else 0)
-                if load > busiest_load:  # first max, like _busiest_rq
-                    busiest = sibling
-                    busiest_load = load
         # Periodic balance pulls when the busiest queue leads this one
-        # (load 1) by two or more and holds a stealable thread.
-        if busiest_load >= 3 and busiest.steal_candidates():
-            lb = self.config.lb_interval_ticks
-            m = (-self._ticks_seen[i]) % lb or lb  # pre-increments
-            return due + (m - 1) * self.config.tick_ns
+        # (load 1) by two or more and holds a stealable thread; any such
+        # sibling is, or can become, the busiest (see above).
+        for j, sibling in enumerate(self.runqueues):
+            if (
+                j != i
+                and len(sibling.ready) + (1 if sibling.current else 0) >= 3
+                and sibling.steal_candidates()
+            ):
+                lb = self.config.lb_interval_ticks
+                m = (-self.timer_interrupts[i].value) % lb or lb  # pre-increments
+                return due + (m - 1) * self.config.tick_ns
         return None
 
     def _macro_limit(self, i: int) -> int:
@@ -760,7 +778,6 @@ class GuestKernel:
             if not ticks:
                 return
         self.timer_interrupts[i].inc(ticks)
-        self._ticks_seen[i] += ticks
         self._macro_due[i] = due + ticks * period
 
     def _macro_refresh(self) -> None:
@@ -844,7 +861,7 @@ class GuestKernel:
         if due is None or due > now:
             return
         vcpu = self.domain.vcpus[i]
-        if vcpu.state is VCPUState.FROZEN or i in self.cpu_freeze_mask:
+        if vcpu.state is _VCPU_FROZEN or i in self.cpu_freeze_mask:
             self._tick_virtual[i] = None
             return
         rq = self.runqueues[i]
@@ -854,7 +871,6 @@ class GuestKernel:
         period = self.config.tick_ns
         ticks = (now - due) // period + 1
         self.timer_interrupts[i].inc(ticks)
-        self._ticks_seen[i] += ticks
         self._tick_virtual[i] = due + ticks * period
 
     def sync_ticks(self) -> None:
@@ -889,10 +905,10 @@ class GuestKernel:
             self._macro_due[i] = None
             self._macro_active.discard(i)
         vcpu = self.domain.vcpus[i]
-        if vcpu.state is VCPUState.FROZEN or i in self.cpu_freeze_mask:
+        if vcpu.state is _VCPU_FROZEN or i in self.cpu_freeze_mask:
             if (
                 self.machine.faults is not None
-                and vcpu.state is not VCPUState.FROZEN
+                and vcpu.state is not _VCPU_FROZEN
                 and self._executing[i]
                 and i not in self._freeze_migration
             ):
@@ -911,8 +927,8 @@ class GuestKernel:
         rq = self.runqueues[i]
         if rq.current is None and not rq.ready:
             return  # went idle; dynticks
-        self.timer_interrupts[i].inc()
-        self._ticks_seen[i] += 1
+        ticks = self.timer_interrupts[i]
+        ticks.value += 1
         if self._executing[i]:
             previous_context = self._context
             self._context = i
@@ -920,7 +936,7 @@ class GuestKernel:
                 if self.rcu is not None:
                     self.rcu.note_quiescent_state(i)
                 self._tick_preemption(i)
-                if self._ticks_seen[i] % self.config.lb_interval_ticks == 0:
+                if ticks.value % self.config.lb_interval_ticks == 0:
                     self._periodic_balance(i)
                 self._nohz_kick(i)
             finally:
@@ -938,16 +954,24 @@ class GuestKernel:
             return
         if current.rt or current.nonpreemptible or not rq.ready:
             return
-        nr_running = len(rq.ready) + 1
-        ideal = max(self.config.quantum_ns // 8, self.config.sched_latency_ns // nr_running)
+        config = self.config
+        ideal = config.sched_latency_ns // (len(rq.ready) + 1)
+        floor = config.quantum_ns // 8
+        if ideal < floor:
+            ideal = floor
         ran = self.sim.now - rq.picked_at
-        best = rq.pick_next()
-        lagging = best is not None and not best.rt and (
-            current.vruntime - best.vruntime > ideal
-        )
-        if ran >= ideal or (lagging and ran >= self.config.tick_ns):
-            self._switch_out(i, to_ready=True)
-            self._dispatch(i)
+        if ran < ideal:
+            # A thread inside its slice is preempted only when it leads
+            # the best fair ready thread by more than a slice, and only
+            # after a full tick on the CPU: the one case pick_next() is
+            # needed.
+            if ran < config.tick_ns:
+                return
+            best = rq.pick_next()
+            if best is None or best.rt or current.vruntime - best.vruntime <= ideal:
+                return
+        self._switch_out(i, to_ready=True)
+        self._dispatch(i)
 
     # ------------------------------------------------------------------
     # Load balancing (idle + periodic pull), freeze-mask aware
@@ -981,14 +1005,23 @@ class GuestKernel:
         """Linux's nohz idle-balance kick: a busy CPU whose queue holds
         more than one runnable thread wakes one idle sibling so it can
         pull (idle_balance) on resume."""
-        if self.runqueues[i].load() < 2:
-            return
-        for j, rq in enumerate(self.runqueues):
-            if j == i or j in self.cpu_freeze_mask:
-                continue
-            vcpu = self.domain.vcpus[j]
-            if rq.load() == 0 and vcpu.state is VCPUState.BLOCKED:
-                self.machine.hyp_wake(vcpu)
+        rq = self.runqueues[i]
+        if not rq.ready or (rq.current is None and len(rq.ready) < 2):
+            return  # load below two
+        runqueues = self.runqueues
+        mask = self.cpu_freeze_mask
+        if len(mask) - (i in mask) == len(runqueues) - 1:
+            return  # every sibling frozen: vScale's packed state
+        vcpus = self.domain.vcpus
+        for j, sibling in enumerate(runqueues):
+            if (
+                j != i
+                and sibling.current is None
+                and not sibling.ready
+                and j not in mask
+                and vcpus[j].state is _VCPU_BLOCKED
+            ):
+                self.machine.hyp_wake(vcpus[j])
                 return
 
     def _busiest_rq(self, exclude: int) -> RunQueue | None:
@@ -1011,10 +1044,12 @@ class GuestKernel:
         )
         rq_dst.enqueue(thread)
         thread.migrations += 1
-        self.machine.tracer.emit(
-            self.sim.now, "guest", "migrate",
-            f"{self.domain.name}/{thread.name}", src=src, dst=dst,
-        )
+        tracer = self.machine.tracer
+        if tracer.enabled_for("guest"):
+            tracer.emit(
+                self.sim.now, "guest", "migrate",
+                f"{self.domain.name}/{thread.name}", src=src, dst=dst,
+            )
         self.runqueues[charge_to].pending_overhead_ns += self.config.migration_cost_ns
         self._macro_refresh()
 
@@ -1044,6 +1079,7 @@ class GuestKernel:
             # Insertion-ordered dict, not a set: the kick order below feeds
             # IPI event ordering and must be deterministic across runs.
             targets: dict[int, None] = {}
+            tracer = self.machine.tracer
             for thread in list(rq.ready):
                 if not thread.migratable:
                     continue
@@ -1051,10 +1087,11 @@ class GuestKernel:
                 rq.dequeue(thread)
                 self.runqueues[dst].enqueue(thread)
                 thread.migrations += 1
-                self.machine.tracer.emit(
-                    self.sim.now, "guest", "migrate",
-                    f"{self.domain.name}/{thread.name}", src=i, dst=dst,
-                )
+                if tracer.enabled_for("guest"):
+                    tracer.emit(
+                        self.sim.now, "guest", "migrate",
+                        f"{self.domain.name}/{thread.name}", src=i, dst=dst,
+                    )
                 targets[dst] = None
             for dst in sorted(targets):
                 self._kick_vcpu(dst)

@@ -72,11 +72,28 @@ class RunQueue:
         return best_rt if best_rt is not None else best
 
     def advance_min_vruntime(self) -> None:
-        candidates = [t.vruntime for t in self.ready]
-        if self.current is not None:
-            candidates.append(self.current.vruntime)
-        if candidates:
-            self.min_vruntime = max(self.min_vruntime, min(candidates))
+        """Raise the floor to the lowest runnable vruntime, if higher.
+
+        Runs on every pause, block and exit, so it allocates nothing.
+        Ready threads are scanned before the current one and ties keep the
+        first seen: the floor is the object ``min(ready + [current])``
+        returns.
+        """
+        current = self.current
+        ready = self.ready
+        if ready:
+            lowest = ready[0].vruntime
+            for t in ready:
+                if t.vruntime < lowest:
+                    lowest = t.vruntime
+            if current is not None and current.vruntime < lowest:
+                lowest = current.vruntime
+        elif current is not None:
+            lowest = current.vruntime
+        else:
+            return
+        if lowest > self.min_vruntime:
+            self.min_vruntime = lowest
 
     def steal_candidates(self) -> list["Thread"]:
         """Ready, migratable, non-RT threads a peer may pull."""

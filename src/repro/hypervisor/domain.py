@@ -69,6 +69,7 @@ class VCPU:
     __slots__ = (
         "domain",
         "index",
+        "name",
         "state",
         "priority",
         "credits",
@@ -86,6 +87,8 @@ class VCPU:
     def __init__(self, domain: "Domain", index: int):
         self.domain = domain
         self.index = index
+        #: ``<domain>/v<index>``, built once: trace records use it per event.
+        self.name = f"{domain.name}/v{index}"
         self.state = VCPUState.BLOCKED
         self.priority = Priority.UNDER
         #: Credit balance in nanoseconds of pCPU time.
@@ -109,10 +112,6 @@ class VCPU:
         #: Counters for Table 2 / Figures 10 and 13.
         self.irq_delivered = Counter()
         self.ipi_received = Counter()
-
-    @property
-    def name(self) -> str:
-        return f"{self.domain.name}/v{self.index}"
 
     @property
     def runnable_or_running(self) -> bool:

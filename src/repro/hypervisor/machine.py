@@ -26,6 +26,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.recovery.checkpoint import Checkpoint
     from repro.sanitize import Sanitizer
 
+# Enum members read per interrupt, as module constants (a global load is
+# several times cheaper than ``VCPUState.RUNNING`` on Python 3.11).
+_RUNNING = VCPUState.RUNNING
+_BLOCKED = VCPUState.BLOCKED
+_FROZEN = VCPUState.FROZEN
+_EVTCHN = IRQClass.EVTCHN
+_CALL_IPI = IRQClass.CALL_IPI
+
 
 class PCPU:
     """A physical CPU in the guest pool."""
@@ -301,10 +309,14 @@ class Machine:
     def vcpu_context_entered(self, vcpu: VCPU) -> None:
         guest = vcpu.domain.guest
         assert guest is not None
-        self.tracer.emit(
-            self.sim.now, "sched", "run", vcpu.name,
-            pcpu=vcpu.pcpu.index if vcpu.pcpu else -1,
-        )
+        # Per-event trace sites test the category before building their
+        # arguments, so untraced runs pay one set lookup per record.
+        tracer = self.tracer
+        if tracer.enabled_for("sched"):
+            tracer.emit(
+                self.sim.now, "sched", "run", vcpu.name,
+                pcpu=vcpu.pcpu.index if vcpu.pcpu else -1,
+            )
         guest.vcpu_started(vcpu)
         self._flush_pending_irqs(vcpu)
         for listener in self.context_listeners:
@@ -313,7 +325,9 @@ class Machine:
     def vcpu_context_left(self, vcpu: VCPU) -> None:
         guest = vcpu.domain.guest
         assert guest is not None
-        self.tracer.emit(self.sim.now, "sched", "stop", vcpu.name)
+        tracer = self.tracer
+        if tracer.enabled_for("sched"):
+            tracer.emit(self.sim.now, "sched", "stop", vcpu.name)
         guest.vcpu_stopped(vcpu)
         for listener in self.context_listeners:
             listener(vcpu, False)
@@ -336,20 +350,20 @@ class Machine:
           rebinds event channels and the guest never reschedule-IPIs a
           frozen sibling.
         """
-        if vcpu.state is VCPUState.FROZEN and irq.irq_class is not IRQClass.CALL_IPI:
+        if vcpu.state is _FROZEN and irq.irq_class is not _CALL_IPI:
             raise RuntimeError(
                 f"{irq.irq_class.value} posted to frozen vCPU {vcpu.name}"
             )
-        self.tracer.emit(
-            self.sim.now, "irq", "post", vcpu.name, kind=irq.irq_class.value
-        )
+        tracer = self.tracer
+        if tracer.enabled_for("irq"):
+            tracer.emit(
+                self.sim.now, "irq", "post", vcpu.name, kind=irq.irq_class.value
+            )
         vcpu.pending_irqs.append(irq)
-        if vcpu.state is VCPUState.RUNNING:
+        if vcpu.state is _RUNNING:
             self.sim.schedule(self.config.irq_delivery_ns, self._deliver_one, vcpu, irq)
-        elif vcpu.state is VCPUState.BLOCKED or (
-            vcpu.state is VCPUState.FROZEN and irq.irq_class is IRQClass.CALL_IPI
-        ):
-            if vcpu.state is VCPUState.FROZEN:
+        elif vcpu.state is _BLOCKED or (vcpu.state is _FROZEN and irq.irq_class is _CALL_IPI):
+            if vcpu.state is _FROZEN:
                 self.scheduler.vcpu_unfreeze(vcpu)
             self.scheduler.vcpu_wake(vcpu)
         # RUNNABLE: nothing to do — delivered via _flush_pending_irqs later.
@@ -357,7 +371,7 @@ class Machine:
     def _deliver_one(self, vcpu: VCPU, irq: IRQ) -> None:
         if irq not in vcpu.pending_irqs:
             return  # already flushed by a context switch in between
-        if vcpu.state is not VCPUState.RUNNING:
+        if vcpu.state is not _RUNNING:
             return  # went to sleep/preempted first; flushed at next start
         vcpu.pending_irqs.remove(irq)
         self._account_delivery(vcpu, irq)
@@ -370,18 +384,20 @@ class Machine:
             self._account_delivery(vcpu, irq)
             assert vcpu.domain.guest is not None
             vcpu.domain.guest.deliver_irq(vcpu, irq)
-            if vcpu.state is not VCPUState.RUNNING:
+            if vcpu.state is not _RUNNING:
                 break  # the handler blocked/froze the vCPU
 
     def _account_delivery(self, vcpu: VCPU, irq: IRQ) -> None:
         delay = self.sim.now - irq.post_time
-        self.tracer.emit(
-            self.sim.now, "irq", "deliver", vcpu.name,
-            kind=irq.irq_class.value, delay_ns=delay,
-        )
+        tracer = self.tracer
+        if tracer.enabled_for("irq"):
+            tracer.emit(
+                self.sim.now, "irq", "deliver", vcpu.name,
+                kind=irq.irq_class.value, delay_ns=delay,
+            )
         domain = vcpu.domain
         vcpu.irq_delivered.inc()
-        if irq.irq_class is IRQClass.EVTCHN:
+        if irq.irq_class is _EVTCHN:
             domain.io_delay.record(delay)
         else:
             vcpu.ipi_received.inc()
@@ -399,7 +415,7 @@ class Machine:
         so such a vCPU wakes right back up and handles them.
         """
         self.scheduler.vcpu_block(vcpu)
-        if vcpu.pending_irqs and vcpu.state is VCPUState.BLOCKED:
+        if vcpu.pending_irqs and vcpu.state is _BLOCKED:
             self.scheduler.vcpu_wake(vcpu)
 
     def hyp_wake(self, vcpu: VCPU) -> None:

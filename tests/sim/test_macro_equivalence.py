@@ -22,8 +22,9 @@ thread/vCPU states and vruntimes, same fault-injection decisions.  Hosts
 of 16 pCPUs carry 14 desktop VMs beside the worker, so tick chains of
 many vCPUs share grid instants with each other and with hypervisor
 events — the same-instant collisions elision must order exactly.  The
-directed tests pin freeze edges, scripted daemon stalls, and two
-benchmark-scale cells whose results elision once changed.
+directed tests pin freeze edges, scripted daemon stalls, a balance that
+a sibling's block makes possible, and two benchmark-scale cells whose
+results elision once changed.
 """
 
 import functools
@@ -35,13 +36,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.experiments import decentralization, fig14, results
 from repro.experiments.setups import Config, ScenarioBuilder
 from repro.faults import FaultConfig, FaultEvent, FaultPlan
+from repro.guest.actions import BlockOn, Compute, WaitQueue
 from repro.guest.kernel import GuestKernel
 from repro.hypervisor.schedulers import available
 from repro.recovery import fingerprint, state_dict
 from repro.sim.rng import SeedSequenceFactory
-from repro.units import MS
+from repro.units import MS, SEC
 from repro.workloads.npb import NPBApp, NPB_PROFILES
 from repro.workloads.openmp import SPINCOUNT_DEFAULT
+from tests.conftest import StackBuilder, busy
 
 WARMUP_NS = 20 * MS
 
@@ -294,4 +297,51 @@ def test_apache_matches_per_tick_reference():
         lambda: fig14.run_point(Config.VANILLA, 10000, duration_ns=200 * MS, seed=0)
     )
     assert per_tick == elided
+    assert elided_ticks < per_tick_ticks, "nothing elided (vacuous)"
+
+
+def _busiest_sibling_blocks(path) -> tuple[dict, int]:
+    """Three vCPUs on four pCPUs; thread states at 300 ms on ``path``.
+
+    vCPU0 runs a lone pinned thread, so its ticks are elided.  vCPU1 (three
+    pinned RT threads) and vCPU2 (a pinned RT thread and two unpinned fair
+    ones) both have load 3, and vCPU1, the busiest its periodic balance
+    finds, has nothing to steal.  At 30 ms vCPU1's first thread blocks:
+    vCPU2 becomes the busiest, and vCPU0's next balance tick (40 ms) pulls
+    ``n0`` from it.
+    """
+    with _tick_path(path) as fired:
+        builder = StackBuilder(pcpus=4, seed=1)
+        kernel = builder.guest("vm", vcpus=3)
+
+        def compute_then_sleep():
+            yield Compute(30 * MS)
+            timer = WaitQueue("timer")
+            kernel.start_timer(500 * MS, timer)
+            yield BlockOn(timer)
+
+        kernel.spawn(busy(SEC), "lone", pinned_to=0)
+        kernel.spawn(compute_then_sleep(), "rt0", rt=True, pinned_to=1)
+        for name in ("rt1", "rt2"):
+            kernel.spawn(busy(SEC), name, rt=True, pinned_to=1)
+        kernel.spawn(busy(SEC), "rt3", rt=True, pinned_to=2)
+        for name in ("n0", "n1"):
+            kernel.spawn(busy(SEC), name, pinned_to=2).pinned_to = None
+        builder.start().run(until=300 * MS)
+        threads = {
+            t.name: (t.vruntime, t.exec_ns, t.vcpu_index, t.migrations)
+            for t in kernel.threads
+        }
+    return threads, fired[0]
+
+
+def test_balance_after_the_busiest_sibling_blocks():
+    """A block refreshes only its own vCPU's region.  The lone thread's
+    horizon must already count every sibling that could be stolen from,
+    or vCPU0 keeps its stale infinite horizon and pulls ``n0`` late (at
+    70 ms instead of 40 ms before this was fixed)."""
+    per_tick, per_tick_ticks = _busiest_sibling_blocks("per-tick")
+    elided, elided_ticks = _busiest_sibling_blocks("elided")
+    assert elided == per_tick
+    assert per_tick["n0"][2:] == (0, 1), "n0 was never pulled (vacuous)"
     assert elided_ticks < per_tick_ticks, "nothing elided (vacuous)"
