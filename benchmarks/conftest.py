@@ -2,12 +2,9 @@
 
 Every benchmark regenerates one table or figure of the paper: it prints
 the same rows/series the paper reports and asserts the qualitative shape
-(who wins, roughly by how much, where crossovers fall).
-
-``REPRO_BENCH_SCALE`` (default 1.0) scales the simulated work so the full
-suite can be smoke-tested quickly, e.g.::
-
-    REPRO_BENCH_SCALE=0.25 pytest benchmarks/ --benchmark-only
+(who wins, roughly by how much, where crossovers fall).  Every benchmark
+runs its experiment at full scale: the shapes are claims about the paper's
+workloads, and several do not hold on shrunken runs.
 
 The experiment modules fan their grids out through ``repro.parallel``;
 the suite inherits that, so:
@@ -27,13 +24,7 @@ executed seconds) at the end of the run.
 
 from __future__ import annotations
 
-import os
-
 import pytest
-
-
-def work_scale() -> float:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 """Benchmark for Figure 10: NPB virtual-IPI rates per spin policy."""
 
-from benchmarks.conftest import work_scale
 from repro.experiments import fig10
 from repro.workloads.npb import NPB_PROFILES
 from repro.workloads.openmp import (
@@ -13,7 +12,7 @@ SPINCOUNTS = (SPINCOUNT_ACTIVE, SPINCOUNT_DEFAULT, SPINCOUNT_PASSIVE)
 
 
 def test_fig10_npb_ipi_rates(bench_once):
-    result = bench_once(fig10.run, None, SPINCOUNTS, 4, 3, work_scale())
+    result = bench_once(fig10.run, None, SPINCOUNTS, 4, 3)
     print()
     print(result.render())
     # Heavy spinning needs no wake-ups: IPI rates stay low everywhere.

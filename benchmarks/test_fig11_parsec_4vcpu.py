@@ -2,13 +2,12 @@
 
 import statistics
 
-from benchmarks.conftest import work_scale
 from repro.experiments import fig11_13
 from repro.experiments.setups import Config
 
 
 def test_fig11_parsec_4vcpu(bench_once):
-    result = bench_once(fig11_13.run, 4, None, None, 3, work_scale())
+    result = bench_once(fig11_13.run, 4, None, None, 3)
     print()
     print(result.render())
 

@@ -5,15 +5,12 @@ little information at this size and double the cost)."""
 
 import statistics
 
-from benchmarks.conftest import work_scale
 from repro.experiments import fig11_13
 from repro.experiments.setups import Config
 
 
 def test_fig12_parsec_8vcpu(bench_once):
-    result = bench_once(
-        fig11_13.run, 8, None, [Config.VANILLA, Config.VSCALE], 3, work_scale()
-    )
+    result = bench_once(fig11_13.run, 8, None, [Config.VANILLA, Config.VSCALE], 3)
     print()
     print(result.render())
     comm = [result.normalized(app, Config.VSCALE) for app in fig11_13.COMM_DRIVEN]

@@ -6,7 +6,6 @@ IPIs/s/vCPU (mm semaphore pressure), streamcluster ~183 (hand-rolled
 barrier), and near-zero for the well-partitioned codes.
 """
 
-from benchmarks.conftest import work_scale
 from repro.experiments import fig11_13
 from repro.experiments.setups import Config
 from repro.metrics.report import Table
@@ -14,9 +13,7 @@ from repro.workloads.parsec import PARSEC_PROFILES
 
 
 def test_fig13_parsec_ipi_rates(bench_once):
-    result = bench_once(
-        fig11_13.run, 4, None, [Config.VANILLA], 3, work_scale()
-    )
+    result = bench_once(fig11_13.run, 4, None, [Config.VANILLA], 3)
     table = Table(
         "Figure 13: vIPIs per second per vCPU (PARSEC, vanilla)",
         ["app", "vIPI/s/vCPU"],

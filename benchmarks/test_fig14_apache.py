@@ -1,15 +1,13 @@
 """Benchmark for Figure 14: Apache under httperf — reply rate, connection
 time and response time vs. request rate, four configurations."""
 
-from benchmarks.conftest import work_scale
 from repro.experiments import fig14
 from repro.experiments.setups import Config
 from repro.units import SEC
 
 
 def test_fig14_apache(bench_once):
-    duration = max(1, round(3 * work_scale())) * SEC
-    result = bench_once(fig14.run, None, None, duration)
+    result = bench_once(fig14.run, None, None, 3 * SEC)
     print()
     print(result.render())
 

@@ -9,7 +9,6 @@ moves into the kernel (smaller spin counts).
 
 import statistics
 
-from benchmarks.conftest import work_scale
 from repro.experiments import fig6_7
 from repro.experiments.setups import Config
 from repro.workloads.openmp import (
@@ -20,7 +19,7 @@ from repro.workloads.openmp import (
 
 
 def test_fig6_npb_4vcpu(bench_once):
-    result = bench_once(fig6_7.run, 4, None, fig6_7.SPINCOUNTS, None, 3, work_scale())
+    result = bench_once(fig6_7.run, 4, None, fig6_7.SPINCOUNTS, None, 3)
     print()
     print(result.render())
     from repro.metrics.ascii import hbar_chart

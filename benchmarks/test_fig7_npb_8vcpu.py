@@ -8,7 +8,6 @@ representative subset.
 
 import statistics
 
-from benchmarks.conftest import work_scale
 from repro.experiments import fig6_7
 from repro.experiments.setups import ALL_CONFIGS, Config
 from repro.workloads.openmp import SPINCOUNT_ACTIVE, SPINCOUNT_DEFAULT
@@ -22,14 +21,12 @@ def test_fig7_npb_8vcpu(bench_once):
             vcpus=8,
             spincounts=(SPINCOUNT_ACTIVE,),
             configs=[Config.VANILLA, Config.VSCALE],
-            work_scale=work_scale(),
         )
         partial = fig6_7.run(
             vcpus=8,
             apps=SUBSET,
             spincounts=(SPINCOUNT_DEFAULT,),
             configs=[Config.VANILLA, Config.VSCALE],
-            work_scale=work_scale(),
         )
         full.cells.update(partial.cells)
         return full

@@ -1,15 +1,12 @@
 """Benchmark for Figure 8: the active-vCPU trace of bt under vScale."""
 
-from benchmarks.conftest import work_scale
 from repro.experiments import fig8
 from repro.metrics.ascii import step_trace
 
 
 def test_fig8_active_vcpu_traces(bench_once):
     def run():
-        return fig8.run(vcpus=4, work_scale=work_scale()), fig8.run(
-            vcpus=8, work_scale=work_scale()
-        )
+        return fig8.run(vcpus=4), fig8.run(vcpus=8)
 
     result4, result8 = bench_once(run)
     print()

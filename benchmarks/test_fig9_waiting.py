@@ -1,13 +1,10 @@
 """Benchmark for Figure 9: VM waiting-time reduction under vScale."""
 
-from benchmarks.conftest import work_scale
 from repro.experiments import fig9
 
 
 def test_fig9_waiting_time_reduction(bench_once):
-    result = bench_once(
-        fig9.run, None, 4, 30_000_000_000, True, 3, work_scale()
-    )
+    result = bench_once(fig9.run, None, 4, 30_000_000_000, True, 3)
     print()
     print(result.render())
     # Paper: >90% reduction across all NPB applications, with or without

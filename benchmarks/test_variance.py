@@ -8,14 +8,11 @@ swings — adaptation removes the chaos, not just the mean.
 
 import statistics
 
-from benchmarks.conftest import work_scale
 from repro.experiments import variance
 
 
 def test_cg_reduction_across_seeds(bench_once):
-    result = bench_once(
-        variance.run, "cg", 30_000_000_000, (3, 4, 5), 4, work_scale()
-    )
+    result = bench_once(variance.run, "cg", 30_000_000_000, (3, 4, 5), 4)
     print()
     print(result.render())
 

@@ -31,6 +31,7 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments import chaos  # noqa: E402
+from repro.experiments.runner import positive_scale  # noqa: E402
 from repro.parallel import ParallelExecutor  # noqa: E402
 
 
@@ -152,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         help="crash-schedule seed (independent of the workload seed)",
     )
     parser.add_argument(
-        "--scale", type=float, default=0.05, help="work scale factor"
+        "--scale", type=positive_scale, default=0.05, help="work scale factor"
     )
     parser.add_argument(
         "--profiles", nargs="*", default=list(chaos.PROFILES),

@@ -27,7 +27,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import math
 import statistics
 import sys
 import tempfile
@@ -36,6 +35,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.experiments.runner import positive_scale  # noqa: E402
 from repro.experiments.setups import Config  # noqa: E402
 from repro.tracelog import codec  # noqa: E402
 from repro.tracelog.replay import capture_run, replay_verify  # noqa: E402
@@ -44,13 +44,6 @@ from repro.tracelog.replay import capture_run, replay_verify  # noqa: E402
 #: median of their normalized traced/untraced time ratios.
 OVERHEAD_PAIRS = 16
 MAX_OVERHEAD_RATIO = 1.10
-
-
-def _positive_scale(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
-    return value
 
 
 def _load(path: str, strict: bool):
@@ -201,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("--profile", default="crash", help="chaos fault profile")
     p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--scale", type=_positive_scale, default=0.2)
+    p.add_argument("--scale", type=positive_scale, default=0.2)
     p.add_argument("--scheduler", default=None)
     p.add_argument(
         "--categories", default=None,

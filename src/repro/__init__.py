@@ -15,10 +15,14 @@ Quick start::
 
     scenario = ScenarioBuilder(seed=7).with_worker_vm(vcpus=4).with_background_vms(2)
     # ... see examples/quickstart.py for a complete run.
+
+The top level re-exports the time units of :mod:`repro.units`: simulated
+time is integer nanoseconds, written as multiples of ``US``, ``MS`` and
+``SEC``.
 """
 
-from repro.units import MS, SEC, US, msec, sec, usec
+from repro.units import MS, SEC, US
 
 __version__ = "1.0.0"
 
-__all__ = ["US", "MS", "SEC", "usec", "msec", "sec", "__version__"]
+__all__ = ["US", "MS", "SEC", "__version__"]

@@ -13,7 +13,6 @@ from repro.core.channel import ChannelCosts, VScaleChannel
 from repro.core.balancer import BalancerCosts, FreezeReport, VScaleBalancer
 from repro.core.daemon import DaemonConfig, VScaleDaemon
 from repro.core.baselines import FixedVCPUPolicy, HotplugScaler, VCPUBalManager
-from repro.core.advisor import AdaptiveTeam, ComputeAdvice, ComputeAdvisor
 
 __all__ = [
     "VMUsage",
@@ -30,7 +29,4 @@ __all__ = [
     "FixedVCPUPolicy",
     "HotplugScaler",
     "VCPUBalManager",
-    "AdaptiveTeam",
-    "ComputeAdvice",
-    "ComputeAdvisor",
 ]

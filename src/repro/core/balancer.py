@@ -117,12 +117,6 @@ class VScaleBalancer:
         self.failed_ops = 0
 
     # ------------------------------------------------------------------
-    def frozen_set(self) -> set[int]:
-        return set(self.kernel.cpu_freeze_mask)
-
-    def online_count(self) -> int:
-        return self.kernel.online_vcpus
-
     def freeze(self, index: int) -> FreezeReport:
         """sys_freezecpu(index): Algorithm 2, master side.
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable
@@ -34,6 +35,17 @@ from repro.parallel import (
     ResultCache,
     default_cache_dir,
 )
+
+
+def positive_scale(text: str) -> float:
+    """The ``--scale`` argument type: a finite number above zero.
+
+    ``nan`` and ``inf`` parse as floats but scale no run, and a scale at or
+    below zero shrinks every run to nothing, so all are rejected here."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
 
 
 def _single(executor: ParallelExecutor, name: str, fn, **kwargs):
@@ -233,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument(
         "--scale",
-        type=float,
+        type=positive_scale,
         default=1.0,
         help="work scale factor (0 < scale <= 1 shrinks runs)",
     )
@@ -282,8 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {unknown}")
-    if args.scale <= 0:
-        parser.error("--scale must be positive")
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be at least 1")
     if args.scheduler is not None:

@@ -106,10 +106,6 @@ class ScenarioBuilder:
         self.scheduler = name
         return self
 
-    def with_consolidation(self, ratio: float) -> "ScenarioBuilder":
-        self.consolidation = ratio
-        return self
-
     def with_faults(self, plan: FaultPlan | None) -> "ScenarioBuilder":
         self.fault_plan = plan
         return self

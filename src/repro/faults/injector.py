@@ -118,17 +118,6 @@ class FaultInjector:
                 break
         return None
 
-    def _active_window(self, site: str, now_ns: int) -> FaultEvent | None:
-        """The scripted window of ``site`` covering ``now_ns``, if any."""
-        for event in self.plan.events:
-            if event.site != site:
-                continue
-            if event.at_ns <= now_ns < event.at_ns + max(1, event.duration_ns):
-                return event
-            if event.at_ns > now_ns:
-                break
-        return None
-
     # ------------------------------------------------------------------
     # Fault sites
     # ------------------------------------------------------------------

@@ -259,7 +259,3 @@ class FaultPlan:
 
 #: Convenience: the plan that injects nothing.
 NO_FAULTS = FaultPlan()
-
-
-def _field_names() -> list[str]:  # pragma: no cover - debugging aid
-    return [f.name for f in fields(FaultConfig)]

@@ -21,7 +21,6 @@ from repro.guest.actions import (
 from repro.guest.threads import Thread, ThreadKind
 from repro.guest.kernel import GuestConfig, GuestKernel
 from repro.guest.sync import (
-    Futex,
     GuestMutex,
     CondVar,
     OpenMPBarrier,
@@ -45,7 +44,6 @@ __all__ = [
     "ThreadKind",
     "GuestConfig",
     "GuestKernel",
-    "Futex",
     "GuestMutex",
     "CondVar",
     "OpenMPBarrier",

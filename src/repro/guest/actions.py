@@ -145,10 +145,6 @@ class Waitable:
     def add_blocked(self, thread: "Thread") -> None:
         self.blocked.append(thread)
 
-    def remove_blocked(self, thread: "Thread") -> None:
-        if thread in self.blocked:
-            self.blocked.remove(thread)
-
     # -- firing (sync-primitive side) -----------------------------------
     def fire_all(self) -> int:
         """Release every spinner and waiter.  Returns how many were released."""

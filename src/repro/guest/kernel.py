@@ -180,9 +180,6 @@ class GuestKernel:
         self.ipi_sent = [Counter() for _ in range(n)]
         #: Observers invoked when a thread exits (workload harnesses).
         self.exit_listeners: list[Callable[[Thread], None]] = []
-        #: Optional RCU grace-period state (installed by RCUDomain): the
-        #: tick of an executing vCPU reports a quiescent state to it.
-        self.rcu = None
         self._spawn_rr = 0
         domain.attach_guest(self)
         self._create_percpu_kthreads()
@@ -712,8 +709,8 @@ class GuestKernel:
         future tick can matter (infinite horizon).
 
         Regions open only on an executing vCPU running a lone thread with
-        an empty ready queue, no RCU and no freeze bit (an executing vCPU
-        is never FROZEN, and a freeze migration leaves no thread current).
+        an empty ready queue and no freeze bit (an executing vCPU is never
+        FROZEN, and a freeze migration leaves no thread current).
         Its tick handler then cannot preempt (the slice check needs a ready
         thread) or kick an idle sibling (that needs a load of two); only
         the periodic load balance can act, every ``lb_interval_ticks``
@@ -736,7 +733,6 @@ class GuestKernel:
             rq.current is None
             or rq.ready
             or not self._executing[i]
-            or self.rcu is not None
             or i in self.cpu_freeze_mask
         ):
             return due
@@ -933,8 +929,6 @@ class GuestKernel:
             previous_context = self._context
             self._context = i
             try:
-                if self.rcu is not None:
-                    self.rcu.note_quiescent_state(i)
                 self._tick_preemption(i)
                 if ticks.value % self.config.lb_interval_ticks == 0:
                     self._periodic_balance(i)
@@ -1156,9 +1150,6 @@ class GuestKernel:
     def online_vcpus(self) -> int:
         """What the guest's cpu_online_mask reports (excludes frozen)."""
         return len(self.runqueues) - len(self.cpu_freeze_mask)
-
-    def runnable_threads(self) -> int:
-        return sum(rq.load() for rq in self.runqueues)
 
     def current_vcpu_index(self) -> int | None:
         """The vCPU whose context the kernel is currently executing in."""

@@ -8,9 +8,7 @@ counterparts so the output is immediately recognizable:
 
 * :func:`proc_interrupts` — per-vCPU timer/IPI/event-channel counts;
 * :func:`proc_stat` — per-vCPU run/wait/idle time (a /proc/stat analogue
-  drawn from the hypervisor's state timers, i.e. steal time included);
-* :func:`proc_schedstat` — runqueue depths, migrations and context info;
-* :func:`proc_cpuinfo` — online/frozen topology, one stanza per vCPU.
+  drawn from the hypervisor's state timers, i.e. steal time included).
 """
 
 from __future__ import annotations
@@ -65,43 +63,3 @@ def proc_stat(kernel: "GuestKernel") -> str:
         frozen = vcpu.timer.total(VCPUState.FROZEN.value) // 1_000_000
         lines.append(f"cpu{index} {run} {steal} {idle} {frozen}")
     return "\n".join(lines)
-
-
-def proc_schedstat(kernel: "GuestKernel") -> str:
-    """Runqueue snapshot, loosely /proc/schedstat shaped."""
-    lines = ["cpu  runnable current migrations_in_total"]
-    migrations = {i: 0 for i in range(len(kernel.runqueues))}
-    for thread in kernel.threads:
-        if thread.vcpu_index is not None:
-            migrations[thread.vcpu_index] = (
-                migrations.get(thread.vcpu_index, 0) + thread.migrations
-            )
-    for rq in kernel.runqueues:
-        current = rq.current.name if rq.current else "-"
-        lines.append(
-            f"cpu{rq.index} {len(rq.ready)} {current} {migrations.get(rq.index, 0)}"
-        )
-    return "\n".join(lines)
-
-
-def proc_cpuinfo(kernel: "GuestKernel") -> str:
-    """Topology stanzas: which vCPUs are online, frozen, or pending."""
-    stanzas = []
-    for index, vcpu in enumerate(kernel.domain.vcpus):
-        if index in kernel.cpu_freeze_mask or vcpu.state is VCPUState.FROZEN:
-            status = "frozen"
-        elif vcpu.freeze_pending:
-            status = "freezing"
-        else:
-            status = "online"
-        stanzas.append(f"processor : {index}\nstatus    : {status}")
-    return "\n\n".join(stanzas)
-
-
-def online_mask(kernel: "GuestKernel") -> list[int]:
-    """cpu_online_mask as a list of online vCPU indices."""
-    return [
-        index
-        for index in range(len(kernel.runqueues))
-        if index not in kernel.cpu_freeze_mask
-    ]

@@ -6,9 +6,11 @@ Each primitive exposes generator methods that workload behaviours embed via
 * **busy-waiting** — :class:`KernelSpinLock` (plain or paravirtual) and the
   user-level spinning in :class:`OpenMPBarrier` / ad-hoc
   :class:`repro.guest.actions.UserSpinLock` usage;
-* **blocking** — :class:`Futex`, :class:`GuestMutex`, :class:`CondVar` and
-  :class:`Semaphore`, whose cross-vCPU wake-ups ride reschedule IPIs and
-  therefore suffer the hypervisor's queueing delays (Figure 1(b)).
+* **blocking** — :class:`GuestMutex`, :class:`CondVar` and
+  :class:`Semaphore`, futex-style primitives that each implement their own
+  wait and wake over a :class:`repro.guest.actions.WaitQueue`; their
+  cross-vCPU wake-ups ride reschedule IPIs and therefore suffer the
+  hypervisor's queueing delays (Figure 1(b)).
 
 Costs are charged as explicit ``Compute`` actions so they appear in CPU
 accounting exactly where a real kernel would spend them.
@@ -61,38 +63,6 @@ def _bucket_section(kernel_lock: "KernelSpinLock | None", thread: "Thread") -> S
     """
     if kernel_lock is not None:
         yield from kernel_lock.critical_section(thread, FUTEX_BUCKET_NS)
-
-
-class Futex:
-    """The kernel's sleep/wake-up engine (a named wait queue).
-
-    ``wait`` parks the calling thread; ``wake`` releases up to ``n`` waiters,
-    sending reschedule IPIs to remote vCPUs as a side effect of
-    :meth:`repro.guest.kernel.GuestKernel.wake_thread`.
-    """
-
-    def __init__(self, kernel: "GuestKernel", name: str = "futex"):
-        self.kernel = kernel
-        self.queue = WaitQueue(name)
-        self.queue.kernel = kernel
-        self.waits = Counter()
-        self.wakes = Counter()
-
-    def wait(self) -> SyncGen:
-        self.waits.inc()
-        yield Compute(FUTEX_WAIT_NS)
-        yield BlockOn(self.queue)
-
-    def wake(self, n: int = 1) -> SyncGen:
-        yield Compute(FUTEX_WAKE_NS)
-        for _ in range(n):
-            if self.queue.fire_one() is None:
-                break
-            self.wakes.inc()
-
-    def wake_all(self) -> SyncGen:
-        yield Compute(FUTEX_WAKE_NS)
-        self.wakes.inc(self.queue.fire_all())
 
 
 class GuestMutex:

@@ -113,10 +113,6 @@ class VCPU:
         self.irq_delivered = Counter()
         self.ipi_received = Counter()
 
-    @property
-    def runnable_or_running(self) -> bool:
-        return self.state in (VCPUState.RUNNING, VCPUState.RUNNABLE)
-
     def set_state(self, new_state: VCPUState, now: int) -> None:
         """Transition state, folding elapsed time into the state timer.
 

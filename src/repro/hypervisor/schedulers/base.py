@@ -24,7 +24,8 @@ runner's ``--scheduler`` flag) always wins; when no name is given, the
 pre-registry behavior — the golden suite enforces this.
 
 The interface is the exact surface :class:`repro.hypervisor.machine.Machine`
-already used: wake/block/freeze/unfreeze/yield entry points, the per-pCPU
+already used: wake/block/unfreeze/yield entry points (a freeze completes
+in ``vcpu_block``, when the freeze-pending vCPU idles), the per-pCPU
 ``schedule`` election, the reconfiguration-IPI ``tickle_vcpu`` expedite,
 and ``runnable_backlog`` introspection.  **Fault sites and the vScale
 extension must only go through this surface** (never through
@@ -59,7 +60,6 @@ class Scheduler:
     * ``vcpu_wake``      — BLOCKED -> RUNNABLE (+ placement/preemption);
     * ``vcpu_block``     — the guest idles the vCPU; a freeze-pending vCPU
       completes its freeze here (Algorithm 2's target-side last step);
-    * ``vcpu_freeze``    — remove the vCPU from scheduling entirely;
     * ``vcpu_unfreeze``  — FROZEN -> BLOCKED (wake-able again);
     * ``vcpu_yield``     — voluntary give-up (pv-spinlock path);
     * ``tickle_vcpu``    — expedite a vCPU with a pending reconfiguration
@@ -95,9 +95,6 @@ class Scheduler:
         raise NotImplementedError
 
     def vcpu_block(self, vcpu: VCPU) -> None:
-        raise NotImplementedError
-
-    def vcpu_freeze(self, vcpu: VCPU) -> None:
         raise NotImplementedError
 
     def vcpu_unfreeze(self, vcpu: VCPU) -> None:
@@ -200,9 +197,10 @@ class Scheduler:
 class QueueScheduler(Scheduler):
     """Template for queue-based schedulers (everything but csched).
 
-    Implements the full state machine — wake/block/freeze/unfreeze/yield,
-    running-interval bookkeeping, the periodic tick with idle rescue —
-    against five primitive hooks subclasses provide:
+    Implements the full state machine — wake, block (which completes a
+    pending freeze), unfreeze, yield, running-interval bookkeeping, the
+    periodic tick with idle rescue — against five primitive hooks
+    subclasses provide:
 
     * ``_enqueue(vcpu)``          — admit a runnable vCPU to its queue;
     * ``_dequeue(vcpu)``          — remove it from whichever queue holds it;
@@ -291,22 +289,6 @@ class QueueScheduler(Scheduler):
             return
         if target is VCPUState.FROZEN:
             self._on_frozen(vcpu)
-
-    def vcpu_freeze(self, vcpu: VCPU) -> None:
-        now = self.sim.now
-        if vcpu.state is VCPUState.RUNNING:
-            pcpu = vcpu.pcpu
-            self._stop_running(vcpu)
-            vcpu.set_state(VCPUState.FROZEN, now)
-            self.machine.request_reschedule(pcpu)
-        elif vcpu.state is VCPUState.RUNNABLE:
-            self._dequeue(vcpu)
-            vcpu.set_state(VCPUState.FROZEN, now)
-        elif vcpu.state is VCPUState.BLOCKED:
-            vcpu.set_state(VCPUState.FROZEN, now)
-        else:
-            return
-        self._on_frozen(vcpu)
 
     def vcpu_unfreeze(self, vcpu: VCPU) -> None:
         vcpu.freeze_pending = False

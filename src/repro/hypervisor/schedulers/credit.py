@@ -89,6 +89,9 @@ class CreditScheduler(Scheduler):
         if vcpu.freeze_pending:
             target = VCPUState.FROZEN
             vcpu.freeze_pending = False
+            # A frozen vCPU stops earning credits at the next accounting;
+            # its residual balance is surrendered now, so siblings benefit
+            # without waiting a period.
             vcpu.credits = 0.0
         if vcpu.state is VCPUState.RUNNING:
             self._stop_running(vcpu)
@@ -100,24 +103,6 @@ class CreditScheduler(Scheduler):
         elif vcpu.state is VCPUState.BLOCKED and target is VCPUState.FROZEN:
             # Already idle when the freeze was requested: park it for good.
             vcpu.set_state(target, now)
-
-    def vcpu_freeze(self, vcpu: VCPU) -> None:
-        """Remove the vCPU from scheduling entirely (vScale freeze)."""
-        now = self.sim.now
-        if vcpu.state is VCPUState.RUNNING:
-            self._stop_running(vcpu)
-            pcpu = vcpu.last_pcpu
-            vcpu.set_state(VCPUState.FROZEN, now)
-            self.machine.request_reschedule(pcpu)
-        elif vcpu.state is VCPUState.RUNNABLE:
-            self._dequeue(vcpu)
-            vcpu.set_state(VCPUState.FROZEN, now)
-        elif vcpu.state is VCPUState.BLOCKED:
-            vcpu.set_state(VCPUState.FROZEN, now)
-        # Frozen vCPUs stop earning credits at the next accounting; their
-        # residual balance is surrendered immediately so siblings benefit
-        # without waiting a period.
-        vcpu.credits = 0.0
 
     def vcpu_unfreeze(self, vcpu: VCPU) -> None:
         """Bring a frozen vCPU back as blocked (idle), ready to be woken."""

@@ -116,20 +116,6 @@ class VrtScheduler(Scheduler):
         elif vcpu.state is VCPUState.BLOCKED and target is VCPUState.FROZEN:
             vcpu.set_state(target, now)
 
-    def vcpu_freeze(self, vcpu: VCPU) -> None:
-        now = self.sim.now
-        if vcpu.state is VCPUState.RUNNING:
-            pcpu = vcpu.pcpu
-            self._stop_running(vcpu)
-            vcpu.set_state(VCPUState.FROZEN, now)
-            self.machine.request_reschedule(pcpu)
-        elif vcpu.state is VCPUState.RUNNABLE:
-            if vcpu in self.waiting:
-                self.waiting.remove(vcpu)
-            vcpu.set_state(VCPUState.FROZEN, now)
-        elif vcpu.state is VCPUState.BLOCKED:
-            vcpu.set_state(VCPUState.FROZEN, now)
-
     def vcpu_unfreeze(self, vcpu: VCPU) -> None:
         vcpu.freeze_pending = False
         if vcpu.state is not VCPUState.FROZEN:

@@ -1,29 +1,15 @@
 """Measurement infrastructure: counters, time-in-state accounting, latency
 reservoirs and report formatting for the experiment harness."""
 
-from repro.metrics.collectors import (
-    Counter,
-    LatencyReservoir,
-    RateMeter,
-    StateTimer,
-    summarize,
-    Summary,
-)
+from repro.metrics.collectors import Counter, LatencyReservoir, StateTimer
 from repro.metrics.ascii import cdf_plot, hbar_chart, step_trace
-from repro.metrics.report import Table, format_series
-from repro.metrics.timeseries import SteppedSeries, WindowedRate
+from repro.metrics.report import Table
 
 __all__ = [
     "Counter",
     "LatencyReservoir",
-    "RateMeter",
     "StateTimer",
-    "Summary",
-    "summarize",
     "Table",
-    "format_series",
-    "SteppedSeries",
-    "WindowedRate",
     "cdf_plot",
     "hbar_chart",
     "step_trace",

@@ -8,7 +8,6 @@ arithmetic and defer any statistics to summary time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 class Counter:
@@ -65,31 +64,6 @@ class StateTimer:
         return self.totals.get(state, 0)
 
 
-class RateMeter:
-    """Count events and report a rate over the observed window."""
-
-    __slots__ = ("count", "start", "_last")
-
-    def __init__(self, start: int = 0):
-        self.count = 0
-        self.start = start
-        self._last = start
-
-    def record(self, now: int, n: int = 1) -> None:
-        self.count += n
-        self._last = max(self._last, now)
-
-    def per_second(self, now: int | None = None) -> float:
-        end = self._last if now is None else now
-        window_ns = max(1, end - self.start)
-        return self.count * 1e9 / window_ns
-
-    def reset(self, now: int) -> None:
-        self.count = 0
-        self.start = now
-        self._last = now
-
-
 class LatencyReservoir:
     """Store individual latency samples for percentile reporting.
 
@@ -132,28 +106,3 @@ class LatencyReservoir:
         ordered = sorted(self.samples)
         n = len(ordered)
         return [(value, (i + 1) / n) for i, value in enumerate(ordered)]
-
-
-@dataclass
-class Summary:
-    """Five-number-ish summary of a latency reservoir, in nanoseconds."""
-
-    count: int
-    mean: float
-    minimum: int
-    p50: int
-    p99: int
-    maximum: int
-    extras: dict[str, float] = field(default_factory=dict)
-
-
-def summarize(reservoir: LatencyReservoir) -> Summary:
-    """Build a :class:`Summary` from a reservoir with at least one sample."""
-    return Summary(
-        count=len(reservoir),
-        mean=reservoir.mean(),
-        minimum=reservoir.min(),
-        p50=reservoir.percentile(0.50),
-        p99=reservoir.percentile(0.99),
-        maximum=reservoir.max(),
-    )

@@ -1,12 +1,12 @@
-"""Plain-text table/series rendering for the benchmark harness.
+"""Plain-text table rendering for the benchmark harness.
 
-The benchmark for each paper table/figure prints the same rows or series the
-paper reports; these helpers keep that output aligned and consistent.
+The benchmark for each paper table/figure prints the same rows the paper
+reports; this helper keeps that output aligned and consistent.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class Table:
@@ -58,11 +58,3 @@ def _is_numeric(cell: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def format_series(name: str, points: Iterable[tuple[object, object]]) -> str:
-    """Render an (x, y) series as one line per point, for figure benches."""
-    lines = [f"series: {name}"]
-    for x, y in points:
-        lines.append(f"  {_render_cell(x)} -> {_render_cell(y)}")
-    return "\n".join(lines)

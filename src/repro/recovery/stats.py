@@ -39,15 +39,5 @@ class RecoveryStats:
     #: Per-domain naive fallback decisions taken while degraded.
     naive_fallback_decisions: int = 0
 
-    @property
-    def total_crash_events(self) -> int:
-        return self.daemon_crashes + self.hangs_injected + self.balancer_outages
-
-    def mean_recovery_epochs(self) -> float:
-        """Average epochs-to-reconverge (0.0 when nothing recovered)."""
-        if self.recoveries == 0:
-            return 0.0
-        return self.recovery_epochs_total / self.recoveries
-
     def to_dict(self) -> dict:
         return asdict(self)

@@ -26,9 +26,7 @@ Design notes
   Keys are unique, so ``(time, born, seq)`` is a total order and any
   correct priority queue fires the same sequence; the tests hold the wheel
   to a plain binary heap (``tests/sim/heap_queue.py``).
-* ``peek_time`` and ``pending_count`` are O(1) amortized: the queue keeps a
-  live-event counter, and peeking only pays for the tombstones it discards
-  (work the next pop would have done anyway).
+* ``pending_count`` is O(1): the queue keeps a live-event counter.
 * There is intentionally no coroutine/process layer here.  The hypervisor and
   guest schedulers are state machines with explicit preemption bookkeeping;
   callbacks map onto that far more directly than generator processes would.
@@ -91,11 +89,6 @@ class Event:
         owner = self._owner
         if owner is not None:
             owner.note_cancel()
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is still queued and not cancelled."""
-        return not self.cancelled
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.born, self.seq) < (other.time, other.born, other.seq)
@@ -176,19 +169,6 @@ class _WheelQueue:
                 count += len(bucket)
         self._wheel_count = count
         self._tombstones = 0
-
-    def peek(self) -> Event | None:
-        while True:
-            heap = self._cur_heap
-            while heap:
-                event = heap[0][3]
-                if event.cancelled:
-                    heapq.heappop(heap)
-                    self._tombstones -= 1
-                    continue
-                return event
-            if not self._advance():
-                return None
 
     def pop_next(self, until: int | None) -> Event | None:
         heappop = heapq.heappop
@@ -298,8 +278,7 @@ class Simulator:
         self.now: int = 0
         self._queue = _WheelQueue()
         self._seq: int = 0
-        #: The event being dispatched (after a stopped run or a ``step``,
-        #: the last one dispatched); None when every event up to ``now``
+        #: The event being dispatched; None when every event up to ``now``
         #: has fired.  Clients that elide their own events compare keys
         #: against it to tell whether an elided event would already have
         #: fired at this instant.
@@ -309,7 +288,6 @@ class Simulator:
         #: chain would have given it (see ``GuestKernel._tick_key``).
         self.order_key: tuple[int, int] | None = None
         self._running = False
-        self._stopped = False
         #: Optional hook invoked as ``dispatch_check(sim, event)`` right
         #: before each event fires (installed by repro.sanitize).
         self.dispatch_check: Callable[["Simulator", Event], None] | None = None
@@ -378,12 +356,11 @@ class Simulator:
         if self._running:
             raise SimulationError("run() re-entered from within an event")
         self._running = True
-        self._stopped = False
         try:
             pop_next = self._queue.pop_next
             check = self.dispatch_check
             trace = self.dispatch_trace
-            while not self._stopped:
+            while True:
                 event = pop_next(until)
                 if event is None:
                     break
@@ -397,29 +374,9 @@ class Simulator:
                 event.fn(*event.args)
         finally:
             self._running = False
-        if not self._stopped:
-            self.current = None
-            if until is not None and self.now < until:
-                self.now = until
-
-    def step(self) -> bool:
-        """Fire exactly one event.  Returns False when the queue is empty."""
-        event = self._queue.pop_next(None)
-        if event is None:
-            return False
-        if self.dispatch_check is not None:
-            self.dispatch_check(self, event)
-        if self.dispatch_trace is not None:
-            self.dispatch_trace(self, event)
-        self.now = event.time
-        self.current = event
-        event.cancelled = True
-        event.fn(*event.args)
-        return True
-
-    def stop(self) -> None:
-        """Stop the current :meth:`run` after the in-flight event returns."""
-        self._stopped = True
+        self.current = None
+        if until is not None and self.now < until:
+            self.now = until
 
     # ------------------------------------------------------------------
     # Introspection
@@ -427,11 +384,6 @@ class Simulator:
     def pending_count(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return self._queue.live
-
-    def peek_time(self) -> int | None:
-        """Time of the next live event, or None if the queue is empty."""
-        event = self._queue.peek()
-        return None if event is None else event.time
 
     def snapshot_events(self) -> list[tuple[int, int, str]]:
         """The live event queue as sorted ``(time, seq, callback)`` rows.

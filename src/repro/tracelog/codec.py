@@ -92,37 +92,8 @@ def write_varint(buf: bytearray, value: int) -> None:
             return
 
 
-def zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
-
-
 def unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
-
-
-def _encode_value(buf: bytearray, value: object, intern) -> None:
-    # bool is an int subclass: test it first.
-    if value is True:
-        buf.append(_TAG_TRUE)
-    elif value is False:
-        buf.append(_TAG_FALSE)
-    elif value is None:
-        buf.append(_TAG_NONE)
-    elif isinstance(value, int):
-        buf.append(_TAG_INT)
-        write_varint(buf, zigzag(value))
-    elif isinstance(value, float):
-        buf.append(_TAG_FLOAT)
-        buf += struct.pack(">d", value)
-    elif isinstance(value, str):
-        buf.append(_TAG_STR)
-        write_varint(buf, intern(value))
-    else:
-        # Anything else (lists, tuples, enums rendered by callers) rides
-        # a canonical-JSON string so the round trip stays well defined.
-        buf.append(_TAG_JSON)
-        payload = json.dumps(value, sort_keys=True, default=str)
-        write_varint(buf, intern(payload))
 
 
 class TraceWriter:

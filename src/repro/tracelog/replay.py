@@ -129,12 +129,6 @@ def compare_traces(path_a: str, path_b: str) -> DivergenceReport:
     return compare_records(records_a, records_b)
 
 
-def snapshot_markers(records: list[TraceRecord]) -> list[TraceRecord]:
-    """The snapshot-capture markers in a trace — the instants from which
-    a checkpoint restore could resume the run mid-stream."""
-    return [r for r in records if r.category == "snapshot"]
-
-
 # ----------------------------------------------------------------------
 # Run capture / replay
 # ----------------------------------------------------------------------

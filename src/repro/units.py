@@ -2,10 +2,8 @@
 
 All simulated time is kept in **integer nanoseconds**.  Integer arithmetic
 keeps the event queue deterministic: two runs with the same seed produce
-bit-identical schedules, which the regression tests rely on.
-
-The helpers here convert between human-friendly units and nanoseconds, and
-format nanosecond quantities back for reports.
+bit-identical schedules, which the regression tests rely on.  Durations are
+written as multiples of the constants below (``5 * MS``).
 """
 
 from __future__ import annotations
@@ -16,44 +14,3 @@ US = 1_000
 MS = 1_000_000
 #: One second in nanoseconds.
 SEC = 1_000_000_000
-
-
-def usec(value: float) -> int:
-    """Convert microseconds to integer nanoseconds."""
-    return round(value * US)
-
-
-def msec(value: float) -> int:
-    """Convert milliseconds to integer nanoseconds."""
-    return round(value * MS)
-
-
-def sec(value: float) -> int:
-    """Convert seconds to integer nanoseconds."""
-    return round(value * SEC)
-
-
-def to_usec(ns: int) -> float:
-    """Convert nanoseconds to microseconds (float)."""
-    return ns / US
-
-
-def to_msec(ns: int) -> float:
-    """Convert nanoseconds to milliseconds (float)."""
-    return ns / MS
-
-
-def to_sec(ns: int) -> float:
-    """Convert nanoseconds to seconds (float)."""
-    return ns / SEC
-
-
-def fmt_ns(ns: int) -> str:
-    """Render a nanosecond duration with an adaptive unit for reports."""
-    if ns >= SEC:
-        return f"{ns / SEC:.3f}s"
-    if ns >= MS:
-        return f"{ns / MS:.3f}ms"
-    if ns >= US:
-        return f"{ns / US:.3f}us"
-    return f"{ns}ns"

@@ -58,30 +58,10 @@ class NPBProfile:
         """Per-thread useful work, ignoring synchronization."""
         return self.iterations * self.phase_ns
 
-    def with_class(self, problem_class: str) -> "NPBProfile":
-        """Scale the profile to an NPB problem class.
 
-        NPB problem classes grow the data set, which grows the per-phase
-        compute while the synchronization *structure* (iteration and
-        barrier counts) stays fixed — exactly how the real suite behaves.
-        The registered profiles correspond to class W (the scale the
-        benchmarks run at); S is smaller, A/B/C grow by the suite's usual
-        ~4x per class.
-        """
-        factors = {"S": 0.25, "W": 1.0, "A": 4.0, "B": 16.0, "C": 64.0}
-        if problem_class not in factors:
-            raise ValueError(
-                f"unknown NPB class {problem_class!r}; choose from {sorted(factors)}"
-            )
-        from dataclasses import replace
-
-        return replace(
-            self, phase_ns=max(1000, round(self.phase_ns * factors[problem_class]))
-        )
-
-
-#: Calibrated profiles.  Total per-thread work is ~0.4-0.8 s so a full
-#: Figure 6 sweep stays tractable; relative granularity mirrors the suite.
+#: Calibrated profiles, at problem class W (the one class every figure
+#: runs).  Total per-thread work is ~0.4-0.8 s so a full Figure 6 sweep
+#: stays tractable; relative granularity mirrors the suite.
 NPB_PROFILES: dict[str, NPBProfile] = {
     "bt": NPBProfile("bt", iterations=300, phase_ns=5 * MS, imbalance=0.25),
     "cg": NPBProfile("cg", iterations=600, phase_ns=2 * MS, imbalance=0.30),
@@ -192,15 +172,6 @@ class NPBApp:
             # let late arrivals fall straight through.
             self._relay_flags[iteration] = chain
         return chain
-
-    def _relay(self, thread, iteration: int, _barrier):
-        chain = self._chain(iteration)
-        rank = int(thread.name.rsplit(".t", 1)[1])
-        if rank > 0:
-            fired = yield SpinWait(chain[rank - 1], 10**12)
-            if not fired:
-                raise RuntimeError("lu relay spin timed out")
-        chain[rank].fire_all()
 
     # ------------------------------------------------------------------
     @property

@@ -65,31 +65,9 @@ class ParsecProfile:
     #: wake-ups in vanilla but stay local when vScale packs the team.
     serial_frac: float = 0.0
 
-    def with_input(self, input_size: str) -> "ParsecProfile":
-        """Scale the profile to a PARSEC input size.
 
-        PARSEC's sim inputs grow the number of work units (frames, items,
-        options) rather than the per-unit cost; the registered profiles
-        correspond to ``simmedium``.
-        """
-        factors = {
-            "simsmall": 0.25,
-            "simmedium": 1.0,
-            "simlarge": 4.0,
-            "native": 16.0,
-        }
-        if input_size not in factors:
-            raise ValueError(
-                f"unknown PARSEC input {input_size!r}; choose from {sorted(factors)}"
-            )
-        from dataclasses import replace
-
-        factor = factors[input_size]
-        if self.kind == "pipeline":
-            return replace(self, items=max(4, round(self.items * factor)))
-        return replace(self, iterations=max(1, round(self.iterations * factor)))
-
-
+#: Calibrated profiles, at the ``simmedium`` input (the one input every
+#: figure runs).
 PARSEC_PROFILES: dict[str, ParsecProfile] = {
     "blackscholes": ParsecProfile("blackscholes", "compute", 8, 90 * MS, 0.05),
     "bodytrack": ParsecProfile(

@@ -27,9 +27,12 @@ def test_no_experiments_errors():
         main([])
 
 
-def test_bad_scale_errors():
-    with pytest.raises(SystemExit):
-        main(["table1", "--scale", "0"])
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_bad_scale_errors(scale, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--scale", scale])
+    assert exc.value.code == 2
+    assert "--scale: must be a positive number" in capsys.readouterr().err
 
 
 def test_bad_jobs_errors():

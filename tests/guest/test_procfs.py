@@ -58,28 +58,3 @@ def test_proc_stat_reports_states(running_guest):
         _, run, steal, idle, frozen = line.split()
         assert int(run) > 300
         assert int(frozen) == 0
-
-
-def test_proc_schedstat_shows_runqueues(running_guest):
-    _, kernel, _ = running_guest
-    text = procfs.proc_schedstat(kernel)
-    assert text.count("cpu") >= 4
-    assert "w0" in text or "w1" in text or "w2" in text or "w3" in text
-
-
-def test_proc_cpuinfo_tracks_freeze(running_guest):
-    _, kernel, machine = running_guest
-    assert procfs.proc_cpuinfo(kernel).count("online") == 4
-    balancer = VScaleBalancer(kernel)
-    balancer.freeze(2)
-    machine.run(until=machine.sim.now + 50 * MS)
-    info = procfs.proc_cpuinfo(kernel)
-    assert info.count("online") == 3
-    assert info.count("frozen") == 1
-
-
-def test_online_mask(running_guest):
-    _, kernel, machine = running_guest
-    assert procfs.online_mask(kernel) == [0, 1, 2, 3]
-    kernel.cpu_freeze_mask.add(1)
-    assert procfs.online_mask(kernel) == [0, 2, 3]

@@ -7,7 +7,6 @@ from repro.guest.actions import Compute
 from repro.guest.kernel import GuestConfig
 from repro.guest.sync import (
     CondVar,
-    Futex,
     GuestMutex,
     KernelSpinLock,
     OpenMPBarrier,
@@ -316,29 +315,3 @@ class TestKernelSpinLock:
         placeholder.append(bad(thread))
         drive(builder, until=100 * MS)
         assert failures == [True]
-
-
-class TestFutex:
-    def test_wait_wake_counts(self, single_guest):
-        builder, kernel = single_guest
-        futex = Futex(kernel)
-
-        def waiter(thread):
-            yield from futex.wait()
-
-        def waker(thread):
-            yield Compute(10 * MS)
-            yield from futex.wake(1)
-
-        for name, gen in (("waiter", waiter), ("waker", waker)):
-            placeholder = []
-
-            def deferred(ph=placeholder):
-                yield from ph[0]
-
-            thread = kernel.spawn(deferred(), name)
-            placeholder.append(gen(thread))
-        drive(builder)
-        assert futex.waits.value == 1
-        assert futex.wakes.value == 1
-        assert all(t.done for t in kernel.threads)

@@ -162,6 +162,9 @@ def test_frozen_vcpu_is_never_scheduled(scheduler):
     machine.hyp_mark_freeze(victim)
     machine.scheduler.vcpu_block(victim)
     assert victim.state is VCPUState.FROZEN
+    # A completed freeze surrenders the credit balance at once, and a
+    # frozen vCPU earns none back.
+    assert victim.credits == 0
     victim.timer.flush(machine.sim.now)
     frozen_at_run = victim.timer.total(VCPUState.RUNNING.value)
     for _ in range(30):
@@ -169,6 +172,7 @@ def test_frozen_vcpu_is_never_scheduled(scheduler):
         assert victim.state is VCPUState.FROZEN
         for pcpu in machine.pool:
             assert pcpu.current is not victim
+    assert victim.credits == 0
     victim.timer.flush(machine.sim.now)
     assert victim.timer.total(VCPUState.RUNNING.value) == frozen_at_run
     # Thawing puts it back into rotation.

@@ -3,13 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.collectors import (
-    Counter,
-    LatencyReservoir,
-    RateMeter,
-    StateTimer,
-    summarize,
-)
+from repro.metrics.collectors import Counter, LatencyReservoir, StateTimer
 
 
 class TestCounter:
@@ -59,21 +53,6 @@ class TestStateTimer:
         assert sum(timer.totals.values()) == now
 
 
-class TestRateMeter:
-    def test_rate_over_window(self):
-        meter = RateMeter(start=0)
-        for t in (100_000_000, 200_000_000, 300_000_000):
-            meter.record(t)
-        assert meter.per_second(1_000_000_000) == pytest.approx(3.0)
-
-    def test_reset(self):
-        meter = RateMeter(start=0)
-        meter.record(10, 5)
-        meter.reset(1_000)
-        assert meter.count == 0
-        assert meter.start == 1_000
-
-
 class TestLatencyReservoir:
     def test_percentiles_nearest_rank(self):
         reservoir = LatencyReservoir()
@@ -108,7 +87,7 @@ class TestLatencyReservoir:
         reservoir = LatencyReservoir()
         for value in values:
             reservoir.record(value)
-        summary = summarize(reservoir)
-        assert summary.minimum <= summary.p50 <= summary.p99 <= summary.maximum
-        assert summary.minimum <= summary.mean <= summary.maximum
-        assert summary.count == len(values)
+        p50, p99 = reservoir.percentile(0.50), reservoir.percentile(0.99)
+        assert reservoir.min() <= p50 <= p99 <= reservoir.max()
+        assert reservoir.min() <= reservoir.mean() <= reservoir.max()
+        assert len(reservoir) == len(values)

@@ -1,8 +1,8 @@
-"""Tests for table/series rendering."""
+"""Tests for table rendering."""
 
 import pytest
 
-from repro.metrics.report import Table, format_series
+from repro.metrics.report import Table
 
 
 def test_table_renders_header_and_rows():
@@ -29,10 +29,3 @@ def test_table_alignment_is_consistent():
     lines = table.render().splitlines()
     widths = {len(line) for line in lines[2:]}
     assert len(widths) == 1
-
-
-def test_format_series():
-    text = format_series("throughput", [(1, 10.0), (2, 20.0)])
-    assert "throughput" in text
-    assert "1 -> 10.000" in text
-    assert "2 -> 20.000" in text

@@ -1,10 +1,20 @@
 """Chaos harness tests: plan generation determinism and grid plumbing."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import chaos
 from repro.faults import generate_plan
 from repro.units import MS, SEC
+
+_spec = importlib.util.spec_from_file_location(
+    "chaos_script", Path(__file__).resolve().parents[2] / "scripts" / "chaos.py"
+)
+chaos_script = importlib.util.module_from_spec(_spec)
+assert _spec.loader is not None
+_spec.loader.exec_module(chaos_script)
 
 
 def test_generate_plan_is_deterministic():
@@ -61,3 +71,11 @@ def test_chaos_cell_smoke():
 def test_chaos_cell_rejects_unknown_profile():
     with pytest.raises(ValueError):
         chaos.run_chaos_cell("earthquake", work_scale=0.05)
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_script_rejects_bad_scale_before_running(scale, capsys):
+    with pytest.raises(SystemExit) as exc:
+        chaos_script.main(["--quick", "--scale", scale])
+    assert exc.value.code == 2
+    assert "--scale: must be a positive number" in capsys.readouterr().err

@@ -45,17 +45,6 @@ class HeapQueue:
         heapq.heapify(self._heap)
         self._tombstones = 0
 
-    def peek(self) -> Event | None:
-        heap = self._heap
-        while heap:
-            event = heap[0][3]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._tombstones -= 1
-                continue
-            return event
-        return None
-
     def pop_next(self, until: int | None) -> Event | None:
         heap = self._heap
         heappop = heapq.heappop
@@ -76,8 +65,8 @@ class HeapQueue:
     def iter_live(self):
         """Yield live events in arbitrary order, without mutating the queue.
 
-        Snapshot support: unlike :meth:`peek`/:meth:`pop_next` this never
-        discards tombstones, so calling it leaves the queue byte-identical.
+        Snapshot support: unlike :meth:`pop_next` this never discards
+        tombstones, so calling it leaves the queue byte-identical.
         """
         for entry in self._heap:
             if not entry[3].cancelled:

@@ -102,40 +102,14 @@ def test_zero_delay_event_fires_after_current():
     assert fired == ["outer", "inner"]
 
 
-def test_stop_halts_run():
+def test_pending_count():
     sim = Simulator()
-    fired = []
-    sim.schedule(1, fired.append, "a")
-    sim.schedule(2, sim.stop)
-    sim.schedule(3, fired.append, "b")
-    sim.run()
-    assert fired == ["a"]
-    sim.run()
-    assert fired == ["a", "b"]
-
-
-def test_step_fires_exactly_one():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1, fired.append, 1)
-    sim.schedule(2, fired.append, 2)
-    assert sim.step()
-    assert fired == [1]
-    assert sim.step()
-    assert fired == [1, 2]
-    assert not sim.step()
-
-
-def test_pending_count_and_peek():
-    sim = Simulator()
-    assert sim.peek_time() is None
+    assert sim.pending_count() == 0
     a = sim.schedule(10, lambda: None)
     sim.schedule(20, lambda: None)
     assert sim.pending_count() == 2
-    assert sim.peek_time() == 10
     a.cancel()
     assert sim.pending_count() == 1
-    assert sim.peek_time() == 20
 
 
 def test_reentrant_run_raises():
@@ -202,16 +176,11 @@ def test_current_is_the_dispatching_event():
     sim = Simulator()
     seen = []
     event = sim.schedule(7, lambda: seen.append(sim.current))
-    sim.schedule(9, sim.stop)
-    sim.schedule(9, seen.append, "after stop")
+    later = sim.schedule(9, lambda: seen.append(sim.current))
     assert sim.current is None
     sim.run()
-    assert seen == [event]
-    # A stopped run leaves the last dispatched event as the boundary...
-    assert sim.current is not None and sim.current.time == 9
-    sim.run()
-    # ...and a run that drains the instant clears it.
-    assert seen == [event, "after stop"]
+    assert seen == [event, later]
+    # A run that drains the queue clears it.
     assert sim.current is None
 
 

@@ -1,33 +1,9 @@
 """Unit tests for repro.units."""
 
-import pytest
-
-from repro.units import MS, SEC, US, fmt_ns, msec, sec, to_msec, to_sec, to_usec, usec
+from repro.units import MS, SEC, US
 
 
 def test_constants_are_consistent():
     assert US == 1_000
     assert MS == 1_000 * US
     assert SEC == 1_000 * MS
-
-
-def test_conversions_round_trip():
-    assert usec(1.5) == 1_500
-    assert msec(2.5) == 2_500_000
-    assert sec(0.001) == MS
-    assert to_usec(usec(3.25)) == pytest.approx(3.25)
-    assert to_msec(msec(7.125)) == pytest.approx(7.125)
-    assert to_sec(sec(1.75)) == pytest.approx(1.75)
-
-
-def test_conversions_produce_ints():
-    assert isinstance(usec(0.7), int)
-    assert isinstance(msec(0.123), int)
-    assert isinstance(sec(1e-9), int)
-
-
-def test_fmt_ns_adapts_unit():
-    assert fmt_ns(500) == "500ns"
-    assert fmt_ns(1_500) == "1.500us"
-    assert fmt_ns(2_500_000) == "2.500ms"
-    assert fmt_ns(3 * SEC) == "3.000s"
