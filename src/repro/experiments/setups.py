@@ -48,6 +48,9 @@ class Config(enum.Enum):
 
 ALL_CONFIGS = [Config.VANILLA, Config.VSCALE, Config.PVLOCK, Config.VSCALE_PVLOCK]
 
+#: The paper's consolidation ratio: average vCPUs per pCPU, worker included.
+CONSOLIDATION = 2.0
+
 
 @dataclass
 class Scenario:
@@ -87,7 +90,6 @@ class ScenarioBuilder:
         self.slideshow_config: SlideshowConfig | None = None
         self.fault_plan: FaultPlan | None = None
         self.install_watchdog = False
-        self.consolidation = 2.0  # average vCPUs per pCPU
 
     # -- fluent knobs ---------------------------------------------------
     def with_worker_vm(self, vcpus: int) -> "ScenarioBuilder":
@@ -120,7 +122,7 @@ class ScenarioBuilder:
     def _background_count(self) -> int:
         if self.background_vms is not None:
             return self.background_vms
-        total_vcpus = self.consolidation * self.pcpus
+        total_vcpus = CONSOLIDATION * self.pcpus
         count = round((total_vcpus - self.worker_vcpus) / 2)
         return max(1, count)
 

@@ -56,9 +56,13 @@ class RunQueue:
 
         Ties break by queue order, which keeps the simulation deterministic.
         """
+        ready = self.ready
+        if len(ready) < 2:
+            # The only candidate wins whatever its class or vruntime.
+            return ready[0] if ready else None
         best: "Thread | None" = None
         best_rt: "Thread | None" = None
-        for t in self.ready:
+        for t in ready:
             if t.rt:
                 if best_rt is None or t.vruntime < best_rt.vruntime or (
                     t.vruntime == best_rt.vruntime and t.tid < best_rt.tid

@@ -37,6 +37,13 @@ class VCPUState(enum.Enum):
     FROZEN = "frozen"
 
 
+# Members read on every vCPU transition, as module constants (a global
+# load is several times cheaper than ``VCPUState.FROZEN`` on Python 3.11).
+_RUNNING = VCPUState.RUNNING
+_RUNNABLE = VCPUState.RUNNABLE
+_FROZEN = VCPUState.FROZEN
+
+
 class Priority(enum.IntEnum):
     """Credit-scheduler priorities, ordered best-first (Xen's csched)."""
 
@@ -134,23 +141,24 @@ class VCPU:
             new_state is not self.state
             and machine.tracer.enabled_for("sched")
             and not (
-                new_state is VCPUState.RUNNING
-                and self.state is VCPUState.RUNNABLE
-                or new_state is VCPUState.RUNNABLE
-                and self.state is VCPUState.RUNNING
+                new_state is _RUNNING
+                and self.state is _RUNNABLE
+                or new_state is _RUNNABLE
+                and self.state is _RUNNING
             )
         ):
             machine.tracer.emit(
                 now, "sched", "state", self.name,
                 old=self.state.value, new=new_state.value,
             )
-        if (new_state is VCPUState.FROZEN) != (self.state is VCPUState.FROZEN):
+        if (new_state is _FROZEN) != (self.state is _FROZEN):
             guest = self.domain.guest
             if guest is not None:
                 edge = getattr(guest, "vcpu_frozen_edge", None)
                 if edge is not None:
                     edge(self)
-        self.timer.transition(new_state.value, now)
+        # ``_value_`` is the plain attribute behind the ``value`` property.
+        self.timer.transition(new_state._value_, now)
         self.state = new_state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

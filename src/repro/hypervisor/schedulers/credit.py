@@ -32,6 +32,16 @@ from repro.hypervisor.schedulers.base import Scheduler, register
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hypervisor.machine import Machine, PCPU
 
+# Enum members read per scheduling event, as module constants (a global
+# load is several times cheaper than ``VCPUState.RUNNING`` on Python 3.11).
+_RUNNING = VCPUState.RUNNING
+_RUNNABLE = VCPUState.RUNNABLE
+_BLOCKED = VCPUState.BLOCKED
+_FROZEN = VCPUState.FROZEN
+_BOOST = Priority.BOOST
+_UNDER = Priority.UNDER
+_OVER = Priority.OVER
+
 
 @register
 class CreditScheduler(Scheduler):
@@ -65,12 +75,12 @@ class CreditScheduler(Scheduler):
     # ------------------------------------------------------------------
     def vcpu_wake(self, vcpu: VCPU) -> None:
         """Make a blocked vCPU runnable, applying Xen's BOOST heuristic."""
-        if vcpu.state is not VCPUState.BLOCKED:
+        if vcpu.state is not _BLOCKED:
             return
         now = self.sim.now
-        vcpu.set_state(VCPUState.RUNNABLE, now)
+        vcpu.set_state(_RUNNABLE, now)
         if self.config.boost_enabled and vcpu.credits >= 0:
-            vcpu.priority = Priority.BOOST
+            vcpu.priority = _BOOST
             vcpu.boosted = True
         else:
             vcpu.priority = self._base_priority(vcpu)
@@ -85,40 +95,40 @@ class CreditScheduler(Scheduler):
         the last step of Algorithm 2's target-side sequence.
         """
         now = self.sim.now
-        target = VCPUState.BLOCKED
+        target = _BLOCKED
         if vcpu.freeze_pending:
-            target = VCPUState.FROZEN
+            target = _FROZEN
             vcpu.freeze_pending = False
             # A frozen vCPU stops earning credits at the next accounting;
             # its residual balance is surrendered now, so siblings benefit
             # without waiting a period.
             vcpu.credits = 0.0
-        if vcpu.state is VCPUState.RUNNING:
+        if vcpu.state is _RUNNING:
             self._stop_running(vcpu)
             vcpu.set_state(target, now)
             self.machine.request_reschedule(vcpu.last_pcpu)
-        elif vcpu.state is VCPUState.RUNNABLE:
+        elif vcpu.state is _RUNNABLE:
             self._dequeue(vcpu)
             vcpu.set_state(target, now)
-        elif vcpu.state is VCPUState.BLOCKED and target is VCPUState.FROZEN:
+        elif vcpu.state is _BLOCKED and target is _FROZEN:
             # Already idle when the freeze was requested: park it for good.
             vcpu.set_state(target, now)
 
     def vcpu_unfreeze(self, vcpu: VCPU) -> None:
         """Bring a frozen vCPU back as blocked (idle), ready to be woken."""
         vcpu.freeze_pending = False
-        if vcpu.state is not VCPUState.FROZEN:
+        if vcpu.state is not _FROZEN:
             return
-        vcpu.set_state(VCPUState.BLOCKED, self.sim.now)
-        vcpu.priority = Priority.UNDER
+        vcpu.set_state(_BLOCKED, self.sim.now)
+        vcpu.priority = _UNDER
 
     def vcpu_yield(self, vcpu: VCPU) -> None:
         """Voluntarily give up the pCPU (pv-spinlock's spin-then-yield)."""
-        if vcpu.state is not VCPUState.RUNNING:
+        if vcpu.state is not _RUNNING:
             return
         pcpu = vcpu.pcpu
         self._stop_running(vcpu)
-        vcpu.set_state(VCPUState.RUNNABLE, self.sim.now)
+        vcpu.set_state(_RUNNABLE, self.sim.now)
         # A yielding vCPU goes to the back of its priority class.
         vcpu.priority = self._base_priority(vcpu)
         self._enqueue(pcpu, vcpu)
@@ -138,7 +148,7 @@ class CreditScheduler(Scheduler):
         if current is not None:
             # Account the elapsed slice and put the vCPU back in the queue.
             self._stop_running(current)
-            current.set_state(VCPUState.RUNNABLE, now)
+            current.set_state(_RUNNABLE, now)
             current.priority = self._base_priority(current)
             self._enqueue(pcpu, current)
 
@@ -154,7 +164,7 @@ class CreditScheduler(Scheduler):
         only has OVER-priority vCPUs while a peer has something better."""
         local = self.runqueues[pcpu]
         best_local = local[0] if local else None
-        if best_local is not None and best_local.priority <= Priority.UNDER:
+        if best_local is not None and best_local.priority <= _UNDER:
             return best_local
         if self.config.allow_stealing:
             stolen = self._steal(pcpu, better_than=best_local)
@@ -164,7 +174,7 @@ class CreditScheduler(Scheduler):
 
     def _steal(self, thief: "PCPU", better_than: VCPU | None) -> VCPU | None:
         """Steal the best-priority runnable vCPU from the busiest peer."""
-        threshold = better_than.priority if better_than is not None else Priority.OVER + 1
+        threshold = better_than.priority if better_than is not None else _OVER + 1
         best: VCPU | None = None
         for pcpu, queue in self.runqueues.items():
             if pcpu is thief or not queue:
@@ -262,10 +272,10 @@ class CreditScheduler(Scheduler):
         for a vCPU, the hypervisor prioritizes it so thread migration starts
         promptly.  We implement it as a temporary boost plus a tickle.
         """
-        if vcpu.state is not VCPUState.RUNNABLE:
+        if vcpu.state is not _RUNNABLE:
             return
         self._dequeue(vcpu)
-        vcpu.priority = Priority.BOOST
+        vcpu.priority = _BOOST
         vcpu.boosted = True
         pcpu = self._place(vcpu)
         self._enqueue(pcpu, vcpu)
@@ -276,7 +286,7 @@ class CreditScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _start_running(self, pcpu: "PCPU", vcpu: VCPU) -> None:
         now = self.sim.now
-        vcpu.set_state(VCPUState.RUNNING, now)
+        vcpu.set_state(_RUNNING, now)
         vcpu.pcpu = pcpu
         vcpu.last_pcpu = pcpu
         vcpu.run_started_at = now
@@ -315,7 +325,7 @@ class CreditScheduler(Scheduler):
             self._park(domain)
 
     def _base_priority(self, vcpu: VCPU) -> Priority:
-        return Priority.UNDER if vcpu.credits >= 0 else Priority.OVER
+        return _UNDER if vcpu.credits >= 0 else _OVER
 
     # ------------------------------------------------------------------
     # Cap enforcement (Xen's hard cap: over-cap domains are parked —
@@ -330,7 +340,7 @@ class CreditScheduler(Scheduler):
         total = domain.window_consumed_ns
         now = self.sim.now
         for vcpu in domain.vcpus:
-            if vcpu.state is VCPUState.RUNNING and vcpu.run_started_at is not None:
+            if vcpu.state is _RUNNING and vcpu.run_started_at is not None:
                 total += now - vcpu.run_started_at
         return total
 
@@ -343,7 +353,7 @@ class CreditScheduler(Scheduler):
         if budget <= 0:
             self._park(domain)
             return
-        running = sum(1 for v in domain.vcpus if v.state is VCPUState.RUNNING)
+        running = sum(1 for v in domain.vcpus if v.state is _RUNNING)
         if running:
             self.sim.schedule(max(1, budget // running), self._cap_check, domain)
 
@@ -364,20 +374,20 @@ class CreditScheduler(Scheduler):
         self._parked[domain] = None
         now = self.sim.now
         for vcpu in domain.vcpus:
-            if vcpu.state is VCPUState.RUNNING:
+            if vcpu.state is _RUNNING:
                 pcpu = vcpu.pcpu
                 self._stop_running(vcpu)
-                vcpu.set_state(VCPUState.RUNNABLE, now)
-                vcpu.priority = Priority.OVER
+                vcpu.set_state(_RUNNABLE, now)
+                vcpu.priority = _OVER
                 self.machine.request_reschedule(pcpu)
-            elif vcpu.state is VCPUState.RUNNABLE:
+            elif vcpu.state is _RUNNABLE:
                 self._dequeue(vcpu)
         # Parked vCPUs stay RUNNABLE but off the queues; _acct re-admits.
 
     def _unpark_all(self) -> None:
         for domain in self._parked:
             for vcpu in domain.vcpus:
-                if vcpu.state is VCPUState.RUNNABLE and not self._is_queued(vcpu):
+                if vcpu.state is _RUNNABLE and not self._is_queued(vcpu):
                     vcpu.priority = self._base_priority(vcpu)
                     self._enqueue(self._place(vcpu), vcpu)
         self._parked.clear()
@@ -406,7 +416,7 @@ class CreditScheduler(Scheduler):
                 vcpu.boosted = False
                 vcpu.priority = self._base_priority(vcpu)
                 self.machine.request_reschedule(pcpu)
-            elif self._base_priority(vcpu) is Priority.OVER and self._has_under_waiter(pcpu):
+            elif self._base_priority(vcpu) is _OVER and self._has_under_waiter(pcpu):
                 # Demoted mid-slice with someone deserving waiting: resched.
                 self.machine.request_reschedule(pcpu)
         # Idle-rescue: idle pCPUs re-run their scheduler each tick so they
@@ -424,7 +434,7 @@ class CreditScheduler(Scheduler):
 
     def _has_under_waiter(self, pcpu: "PCPU") -> bool:
         queue = self.runqueues[pcpu]
-        return bool(queue) and queue[0].priority <= Priority.UNDER
+        return bool(queue) and queue[0].priority <= _UNDER
 
     def _acct(self) -> None:
         """Distribute one period's credits by weight (csched_acct)."""
@@ -456,7 +466,7 @@ class CreditScheduler(Scheduler):
             # interleaved per-vCPU form.
             self.accounting_batch(active, per_vcpu, -acct, acct)
             for vcpu in active:
-                if vcpu.state is VCPUState.RUNNABLE and not vcpu.boosted:
+                if vcpu.state is _RUNNABLE and not vcpu.boosted:
                     old = vcpu.priority
                     vcpu.priority = self._base_priority(vcpu)
                     if vcpu.priority != old:

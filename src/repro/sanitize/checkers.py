@@ -7,7 +7,7 @@ whose edge invokes them:
 ===================  ==============================================  =======================================
 checker              invariant                                       hook site
 ===================  ==============================================  =======================================
-event_monotonic      dispatched events never move time backwards,    ``Simulator.run`` / ``Simulator.step``
+event_monotonic      dispatched events never move time backwards,    ``Simulator.run``
                      fire in ``(born, seq)`` order within an
                      instant, and tombstoned events never fire
 credit_frozen_burn   a FROZEN vCPU never burns CPU time              every scheduler's charge path

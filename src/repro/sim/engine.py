@@ -23,9 +23,19 @@ Design notes
   churn (ticks, quanta, IPIs) lands in the near window where insertion is
   an O(1) list append instead of an O(log n) heap sift, and heap entries
   are plain ``(time, born, seq, event)`` tuples so comparisons run in C.
-  Keys are unique, so ``(time, born, seq)`` is a total order and any
+  Live keys are unique, so ``(time, born, seq)`` is a total order and any
   correct priority queue fires the same sequence; the tests hold the wheel
   to a plain binary heap (``tests/sim/heap_queue.py``).
+* The per-event path runs no engine frame of its own.  ``schedule`` and
+  ``schedule_at`` build each :class:`Event` with ``object.__new__`` and
+  slot stores (``Event(...)``, with its Python ``__init__`` frame, takes
+  about 1.8 times as long) and file its entry in the wheel inline; ``run`` pops the current-granule
+  heap inline and calls :meth:`_WheelQueue._advance` only when that heap
+  is empty; ``Event.cancel`` updates the queue's counters itself.  The
+  four stay separate functions that never call one another: tooling
+  wraps each on its class and counts the calls.
+* ``run`` re-reads ``_cur_heap`` after every dispatch: a callback that
+  cancels can trigger :meth:`_WheelQueue.compact`, which rebinds it.
 * ``pending_count`` is O(1): the queue keeps a live-event counter.
 * There is intentionally no coroutine/process layer here.  The hypervisor and
   guest schedulers are state machines with explicit preemption bookkeeping;
@@ -46,6 +56,10 @@ _WHEEL_MASK = _WHEEL_SLOTS - 1
 #: live entries; the floor keeps tiny queues from compacting constantly.
 _COMPACT_FLOOR = 128
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+_new_object = object.__new__
+
 
 class SimulationError(RuntimeError):
     """Raised for illegal uses of the engine (e.g. scheduling in the past)."""
@@ -55,7 +69,8 @@ class Event:
     """A handle for a scheduled callback.
 
     Application code treats this as opaque apart from :meth:`cancel` and the
-    :attr:`time` attribute.
+    :attr:`time` attribute.  The simulator builds its events without
+    calling ``__init__``; the two must set the same slots.
     """
 
     __slots__ = ("time", "born", "seq", "fn", "args", "cancelled", "_owner")
@@ -88,9 +103,16 @@ class Event:
         self.args = ()
         owner = self._owner
         if owner is not None:
-            owner.note_cancel()
+            live = owner.live - 1
+            owner.live = live
+            tombstones = owner._tombstones + 1
+            owner._tombstones = tombstones
+            if tombstones > _COMPACT_FLOOR and tombstones > live:
+                owner.compact()
 
     def __lt__(self, other: "Event") -> bool:
+        # A re-armed keyed event can tie its own tombstone's key, and then
+        # the entry tuples' comparison falls through to the events.
         return (self.time, self.born, self.seq) < (other.time, other.born, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -103,7 +125,10 @@ def _cancelled_fn(*_args: Any) -> None:  # pragma: no cover - never called
 
 
 class _WheelQueue:
-    """Timer-wheel engine: near-future buckets in front of an overflow heap.
+    """Timer-wheel storage: near-future buckets in front of an overflow heap.
+
+    The simulator pushes and pops entries itself (see the module notes);
+    this class owns the storage, the window slide and compaction.
 
     Invariants:
 
@@ -138,25 +163,6 @@ class _WheelQueue:
         self.live = 0
         self._tombstones = 0
 
-    def push(self, event: Event) -> None:
-        self.live += 1
-        granule = event.time >> _GRANULE_BITS
-        entry = (event.time, event.born, event.seq, event)
-        offset = granule - self._cur
-        if offset <= 0:
-            heapq.heappush(self._cur_heap, entry)
-        elif offset <= _WHEEL_SLOTS:
-            self._wheel[granule & _WHEEL_MASK].append(entry)
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._far, entry)
-
-    def note_cancel(self) -> None:
-        self.live -= 1
-        self._tombstones += 1
-        if self._tombstones > _COMPACT_FLOOR and self._tombstones > self.live:
-            self.compact()
-
     def compact(self) -> None:
         self._cur_heap = [e for e in self._cur_heap if not e[3].cancelled]
         heapq.heapify(self._cur_heap)
@@ -169,25 +175,6 @@ class _WheelQueue:
                 count += len(bucket)
         self._wheel_count = count
         self._tombstones = 0
-
-    def pop_next(self, until: int | None) -> Event | None:
-        heappop = heapq.heappop
-        while True:
-            heap = self._cur_heap
-            while heap:
-                entry = heap[0]
-                event = entry[3]
-                if event.cancelled:
-                    heappop(heap)
-                    self._tombstones -= 1
-                    continue
-                if until is not None and entry[0] > until:
-                    return None
-                heappop(heap)
-                self.live -= 1
-                return event
-            if not self._advance():
-                return None
 
     def iter_live(self):
         """Yield live events in arbitrary order, without mutating the queue.
@@ -224,7 +211,7 @@ class _WheelQueue:
                     break
         far = self._far
         while far and far[0][3].cancelled:
-            heapq.heappop(far)
+            _heappop(far)
             self._tombstones -= 1
         far_granule = (far[0][0] >> _GRANULE_BITS) if far else None
         if wheel_granule is None:
@@ -249,7 +236,7 @@ class _WheelQueue:
         # Overflow entries whose granule has come into view fire now too;
         # ones further out stay put and are compared by granule next time.
         while far and (far[0][0] >> _GRANULE_BITS) == granule:
-            entry = heapq.heappop(far)
+            entry = _heappop(far)
             if entry[3].cancelled:
                 self._tombstones -= 1
             else:
@@ -300,16 +287,37 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    # ``schedule`` and ``schedule_at`` each build the event and file its
+    # entry inline, the same way: this is the hottest code in the
+    # simulator (one call per quantum, IPI, tick, ...), and neither may
+    # call the other (see the module notes).
     def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` nanoseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}ns in the past")
-        # schedule_at's body, inlined: this is the hottest call in the
-        # simulator (one per quantum, IPI, ...).
         now = self.now
-        event = Event(int(now + delay), self._seq, fn, args, self._queue, now)
-        self._seq += 1
-        self._queue.push(event)
+        time = int(now + delay)
+        seq = self._seq
+        self._seq = seq + 1
+        queue = self._queue
+        event = _new_object(Event)
+        event.time = time
+        event.born = now
+        event.seq = seq
+        event.fn = fn
+        event.args = args
+        event.cancelled = False
+        event._owner = queue
+        queue.live += 1
+        granule = time >> _GRANULE_BITS
+        offset = granule - queue._cur
+        if offset <= 0:
+            _heappush(queue._cur_heap, (time, now, seq, event))
+        elif offset <= _WHEEL_SLOTS:
+            queue._wheel[granule & _WHEEL_MASK].append((time, now, seq, event))
+            queue._wheel_count += 1
+        else:
+            _heappush(queue._far, (time, now, seq, event))
         return event
 
     def schedule_at(self, time: int, fn: Callable[..., None], *args: Any) -> Event:
@@ -317,19 +325,41 @@ class Simulator:
 
         Consumes a pending :attr:`order_key`, if one is set, as the event's
         ``(born, seq)``; otherwise the event is born now with a fresh seq.
+        The key is consumed even when the call raises, so it never leaks
+        into a later, unrelated event.
         """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self.now}"
-            )
         key = self.order_key
-        if key is None:
-            event = Event(int(time), self._seq, fn, args, self._queue, self.now)
-            self._seq += 1
-        else:
+        if key is not None:
             self.order_key = None
-            event = Event(int(time), key[1], fn, args, self._queue, key[0])
-        self._queue.push(event)
+        now = self.now
+        if time < now:
+            raise SimulationError(f"cannot schedule at t={time} before now={now}")
+        time = int(time)
+        if key is None:
+            born = now
+            seq = self._seq
+            self._seq = seq + 1
+        else:
+            born, seq = key
+        queue = self._queue
+        event = _new_object(Event)
+        event.time = time
+        event.born = born
+        event.seq = seq
+        event.fn = fn
+        event.args = args
+        event.cancelled = False
+        event._owner = queue
+        queue.live += 1
+        granule = time >> _GRANULE_BITS
+        offset = granule - queue._cur
+        if offset <= 0:
+            _heappush(queue._cur_heap, (time, born, seq, event))
+        elif offset <= _WHEEL_SLOTS:
+            queue._wheel[granule & _WHEEL_MASK].append((time, born, seq, event))
+            queue._wheel_count += 1
+        else:
+            _heappush(queue._far, (time, born, seq, event))
         return event
 
     def next_seq(self) -> int:
@@ -357,13 +387,29 @@ class Simulator:
             raise SimulationError("run() re-entered from within an event")
         self._running = True
         try:
-            pop_next = self._queue.pop_next
+            queue = self._queue
+            advance = queue._advance
+            heappop = _heappop
             check = self.dispatch_check
             trace = self.dispatch_trace
             while True:
-                event = pop_next(until)
-                if event is None:
+                # Re-read every time round: a callback's cancel may have
+                # compacted the queue, which rebinds the current heap.
+                heap = queue._cur_heap
+                if not heap:
+                    if advance():
+                        continue
                     break
+                entry = heap[0]
+                event = entry[3]
+                if event.cancelled:
+                    heappop(heap)
+                    queue._tombstones -= 1
+                    continue
+                if until is not None and entry[0] > until:
+                    break
+                heappop(heap)
+                queue.live -= 1
                 if check is not None:
                     check(self, event)
                 if trace is not None:

@@ -3,6 +3,14 @@
 The simulator runs on a timer wheel (:mod:`repro.sim.engine`).  Its
 ``(time, born, seq)`` keys are unique, so any correct priority queue fires
 the same sequence, and this plain heap is the oracle the wheel is held to.
+
+``Simulator`` pushes and pops queue entries itself, so the oracle has the
+wheel's shape with no buckets: its window already points past every
+granule, so every entry the simulator files lands in the one
+current-granule heap, and ``_advance`` never finds a next granule.  What
+the comparison checks is the wheel's bucketing, window slide, overflow
+heap and compaction against a queue that has none of them.
+
 :func:`heap_engine` makes every ``Simulator`` built inside it use the heap
 by swapping the queue class ``Simulator.__init__`` instantiates — the same
 kind of test seam as patching ``GuestKernel._macro_horizon``.
@@ -11,64 +19,44 @@ kind of test seam as patching ``GuestKernel._macro_horizon``.
 from __future__ import annotations
 
 import heapq
+import math
 from contextlib import contextmanager
 from typing import Iterator
 from unittest import mock
 
 from repro.sim import engine
-from repro.sim.engine import _COMPACT_FLOOR, Event, Simulator
+from repro.sim.engine import Event, Simulator
 
 
 class HeapQueue:
     """A single binary heap of ``(time, born, seq, event)`` entries, with
     the wheel's tombstone discipline (lazy cancel, compaction)."""
 
-    __slots__ = ("_heap", "live", "_tombstones")
+    __slots__ = ("_cur", "_cur_heap", "live", "_tombstones")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, Event]] = []
+        #: Past every granule: the simulator files each entry in the heap.
+        self._cur = math.inf
+        self._cur_heap: list[tuple[int, int, int, Event]] = []
         self.live = 0
         self._tombstones = 0
 
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.time, event.born, event.seq, event))
-        self.live += 1
-
-    def note_cancel(self) -> None:
-        self.live -= 1
-        self._tombstones += 1
-        if self._tombstones > _COMPACT_FLOOR and self._tombstones > self.live:
-            self.compact()
-
     def compact(self) -> None:
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(self._heap)
+        self._cur_heap = [entry for entry in self._cur_heap if not entry[3].cancelled]
+        heapq.heapify(self._cur_heap)
         self._tombstones = 0
 
-    def pop_next(self, until: int | None) -> Event | None:
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
-                heappop(heap)
-                self._tombstones -= 1
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            heappop(heap)
-            self.live -= 1
-            return event
-        return None
+    def _advance(self) -> bool:
+        """There is no next granule: an empty heap is a drained queue."""
+        return False
 
     def iter_live(self):
         """Yield live events in arbitrary order, without mutating the queue.
 
-        Snapshot support: unlike :meth:`pop_next` this never discards
-        tombstones, so calling it leaves the queue byte-identical.
+        Snapshot support: this never discards tombstones, so calling it
+        leaves the queue byte-identical.
         """
-        for entry in self._heap:
+        for entry in self._cur_heap:
             if not entry[3].cancelled:
                 yield entry[3]
 

@@ -1,9 +1,11 @@
 """Tests for the discrete-event engine."""
 
+import collections
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import Simulator, SimulationError
+from repro.sim.engine import Event, Simulator, SimulationError
 
 
 def test_events_fire_in_time_order():
@@ -190,3 +192,96 @@ def test_next_seq_takes_a_scheduling_slot():
     rank = sim.next_seq()
     second = sim.schedule(5, lambda: None)
     assert first.seq < rank < second.seq
+
+
+def test_rejected_schedule_at_consumes_order_key():
+    """A ``schedule_at`` that raises still consumes the pending key, so
+    the next, unrelated event is born now with a fresh seq."""
+    sim = Simulator()
+    first = sim.schedule(100, lambda: None)
+    sim.run()
+    sim.order_key = (5, 7)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(50, lambda: None)
+    assert sim.order_key is None
+    event = sim.schedule_at(200, lambda: None)
+    assert (event.born, event.seq) == (100, first.seq + 1)
+
+
+def test_float_delays_and_times_truncate():
+    sim = Simulator()
+    sim.schedule(3, lambda: None)
+    sim.run()
+    fired = []
+    delayed = sim.schedule(2.9, lambda: fired.append(sim.now))
+    absolute = sim.schedule_at(7.99, lambda: fired.append(sim.now))
+    # One granule out, so the wheel files the entry by its truncated time.
+    far = sim.schedule((1 << 20) - 0.5, lambda: fired.append(sim.now))
+    assert (delayed.time, absolute.time, far.time) == (5, 7, 3 + (1 << 20) - 1)
+    sim.run()
+    assert fired == [5, 7, 3 + (1 << 20) - 1]
+    assert all(type(t) is int for t in fired)
+
+
+def test_schedule_ignores_order_key_and_one_schedule_at_consumes_it():
+    sim = Simulator()
+    sim.order_key = (0, 10**6)
+    plain = sim.schedule(5, lambda: None)
+    assert sim.order_key == (0, 10**6)
+    assert (plain.born, plain.seq) == (0, 0)
+    keyed = sim.schedule_at(5, lambda: None)
+    assert (keyed.born, keyed.seq) == (0, 10**6)
+    assert sim.order_key is None
+    after = sim.schedule_at(5, lambda: None)
+    assert (after.born, after.seq) == (0, 1)
+
+
+def test_pending_count_through_double_cancel_and_cancel_after_fire():
+    sim = Simulator()
+    near = sim.schedule(10, lambda: None)
+    bucket = sim.schedule(5 << 20, lambda: None)
+    far = sim.schedule(300 << 20, lambda: None)
+    near.cancel()
+    near.cancel()
+    assert sim.pending_count() == 2
+    sim.run(until=6 << 20)
+    assert sim.pending_count() == 1
+    bucket.cancel()
+    assert sim.pending_count() == 1
+    far.cancel()
+    far.cancel()
+    assert sim.pending_count() == 0
+    sim.run()
+    assert sim.pending_count() == 0
+
+
+def test_entry_points_count_once_under_class_wrappers(monkeypatch):
+    """Wrapping ``schedule``, ``schedule_at``, ``run`` and ``Event.cancel``
+    on their classes, as the benchmark's span tracer does, counts each call
+    exactly once: none of them reaches another through ``self``."""
+    calls = collections.Counter()
+
+    def count(cls, name):
+        original = cls.__dict__[name]
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in (
+        (Simulator, "schedule"),
+        (Simulator, "schedule_at"),
+        (Simulator, "run"),
+        (Event, "cancel"),
+    ):
+        count(cls, name)
+    sim = Simulator()
+    doomed = sim.schedule(10, lambda: None)
+    sim.order_key = (0, 99)
+    sim.schedule_at(20, lambda: None)
+    sim.schedule_at(30, doomed.cancel)
+    doomed.cancel()
+    sim.run()
+    assert calls == {"schedule": 1, "schedule_at": 2, "run": 1, "cancel": 2}
