@@ -10,15 +10,12 @@ The experiment modules fan their grids out through ``repro.parallel``;
 the suite inherits that, so:
 
 ``REPRO_JOBS``
-    worker processes per grid (default: CPU count).
-``REPRO_CACHE=1`` / ``REPRO_CACHE_DIR``
-    memoize finished cells on disk; a re-run of the suite then replays
-    cached cells instead of re-simulating them.  Results are bit-for-bit
-    identical either way (the simulator is seeded and deterministic;
-    ``tests/experiments/test_determinism.py`` enforces it), so the
-    assertions are unaffected.
+    worker processes per grid (default: CPU count).  Results are
+    bit-for-bit identical for any worker count (the simulator is seeded
+    and deterministic; ``tests/experiments/test_determinism.py`` enforces
+    it), so the assertions are unaffected.
 
-The session prints the executor's telemetry summary (cache hits/misses,
+The session prints the executor's telemetry summary (cells run,
 executed seconds) at the end of the run.
 """
 
@@ -38,7 +35,7 @@ def bench_once(benchmark):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Report the shared executor's cache/timing counters for the run."""
+    """Report the shared executor's cell count and timing for the run."""
     from repro.parallel import get_default_executor
 
     telemetry = get_default_executor().telemetry

@@ -197,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         work_scale=args.scale,
         chaos_seed=args.chaos_seed,
-        executor=ParallelExecutor(jobs=1, cache=None),
+        executor=ParallelExecutor(jobs=1),
     )
     print(result.render())
 

@@ -19,7 +19,7 @@ ASTs under ``src/repro`` and flags the four hazard classes:
 ``id-key``
     ``id(x)`` used as a dict key or subscript.  CPython ids are allocation
     addresses: stable within one process, different across processes — a
-    cache keyed on them silently diverges between the pool and serial paths.
+    table keyed on them silently diverges between the pool and serial paths.
 ``set-iteration``
     Iterating a set (``for x in s``, comprehensions) where ``s`` is a set
     literal, ``set()``/``frozenset()`` call, set comprehension, or a local

@@ -191,8 +191,8 @@ class FaultMatrixResult:
         )
         for (app, mechanism, rate) in sorted(self.cells):
             cell = self.cells[(app, mechanism, rate)]
-            # Recovery counters ride the daemon dict so old cached cells
-            # (and the hotplug baseline, which has no daemon) render as 0.
+            # Recovery counters ride the daemon dict, so the hotplug
+            # baseline (which has no daemon) renders them as 0.
             daemon = cell.daemon
             table.add_row(
                 app,
@@ -225,8 +225,8 @@ def cells(
     """Decompose the fault matrix into independent cells.
 
     As in :func:`repro.experiments.fig6_7.cells`, the scheduler key
-    enters the cell name and kwargs only when explicitly set, so legacy
-    cache keys are untouched.
+    enters the cell name and kwargs only when explicitly set, so the
+    default-scheduler cell names (and their goldens) are untouched.
     """
     specs = []
     for app in apps:

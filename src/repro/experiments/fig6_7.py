@@ -84,8 +84,8 @@ def cells(
 
     ``scheduler`` picks the pool scheduler by registry name; ``None``
     keeps the default, and also the historical cell identity — the
-    scheduler key enters the cell kwargs (and hence the cache key and
-    golden name) only when explicitly set.
+    scheduler key enters the cell kwargs (and hence the golden name)
+    only when explicitly set.
     """
     specs = []
     for spincount in spincounts:

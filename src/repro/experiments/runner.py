@@ -12,11 +12,9 @@ Each experiment writes its rendered table/series to stdout and, with
 ``--out``, to ``<out>/<name>.txt`` (plus ``<name>.json`` and a
 ``telemetry.json``).  Every experiment runs through the parallel
 executor (``repro.parallel``): grid experiments fan their cells out over
-``--jobs`` worker processes, and finished cells are memoized in a
-content-addressed on-disk cache (disable with ``--no-cache``), so
-re-runs skip already-computed cells.  The simulator is seeded and
-bit-for-bit deterministic, so stdout is byte-identical regardless of
-``--jobs`` or cache state; per-cell timings and the cache hit/miss
+``--jobs`` worker processes, and every run executes every cell.  The
+simulator is seeded and bit-for-bit deterministic, so stdout is
+byte-identical regardless of ``--jobs``; per-cell timings and the
 summary go to stderr.
 """
 
@@ -29,12 +27,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from repro.parallel import (
-    CellSpec,
-    ParallelExecutor,
-    ResultCache,
-    default_cache_dir,
-)
+from repro.parallel import CellSpec, ParallelExecutor
 
 
 def positive_scale(text: str) -> float:
@@ -49,7 +42,7 @@ def positive_scale(text: str) -> float:
 
 
 def _single(executor: ParallelExecutor, name: str, fn, **kwargs):
-    """Run a non-grid experiment as one cached cell."""
+    """Run a non-grid experiment as one cell."""
     return executor.run_cell(CellSpec(name, name, fn, kwargs))
 
 
@@ -227,15 +220,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[float, ParallelExecutor], object]]] 
 SCHEDULER_AWARE = {"fig6", "fig7", "faults", "chaos", "generality"}
 
 
-def build_executor(args: argparse.Namespace) -> ParallelExecutor:
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    return ParallelExecutor(
-        jobs=args.jobs, cache=cache, trace_dir=getattr(args, "trace_dir", None)
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner", description=__doc__
@@ -255,25 +239,13 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="worker processes for grid cells (default: REPRO_JOBS or CPU count)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every cell; do not read or write the result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="result cache location (default: REPRO_CACHE_DIR or "
-        "~/.cache/repro-vscale)",
-    )
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument(
         "--trace-dir",
         type=Path,
         default=None,
         help="stream a binary trace per cell to this directory "
-        "(forces re-execution: cached results produce no trace)",
+        "(<experiment>__<cell>.rtl)",
     )
     parser.add_argument(
         "--scheduler",
@@ -311,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"(scheduler-aware: {', '.join(sorted(SCHEDULER_AWARE))})"
             )
 
-    executor = build_executor(args)
+    executor = ParallelExecutor(jobs=args.jobs, trace_dir=args.trace_dir)
     telemetry = executor.telemetry
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -42,19 +42,6 @@ class FaultStats:
     freeze_failures: int = 0
     dom0_bursts: int = 0
 
-    @property
-    def total_injected(self) -> int:
-        return (
-            self.ipis_dropped
-            + self.ipis_delayed
-            + self.channel_failures
-            + self.channel_stale_reads
-            + self.daemon_jitters
-            + self.daemon_stalls
-            + self.freeze_failures
-            + self.dom0_bursts
-        )
-
     def to_dict(self) -> dict:
         return asdict(self)
 

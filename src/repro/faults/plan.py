@@ -7,11 +7,11 @@ optional list of *scripted* :class:`FaultEvent` windows for scenarios
 that need faults at exact instants.  Because the simulation itself is
 deterministic, the same plan against the same scenario produces the same
 fault sequence — and therefore the same traces and reports — bit for
-bit, which is what keeps the fault experiments cacheable and the
+bit, which is what keeps the fault experiments' goldens and
 determinism tests meaningful.
 
-Plans are plain frozen dataclasses so they canonicalize cleanly into the
-parallel executor's cache keys.
+Plans are plain frozen dataclasses so they pickle cleanly into the
+parallel executor's worker processes.
 """
 
 from __future__ import annotations
@@ -143,15 +143,6 @@ class FaultConfig:
         )
         base.update(overrides)
         return cls(**base)
-
-    def describe(self) -> str:
-        """Short ``site=rate`` summary of the enabled sites."""
-        parts = [
-            f"{name.removesuffix('_rate')}={getattr(self, name):g}"
-            for name in _RATE_FIELDS
-            if getattr(self, name) > 0.0
-        ]
-        return ", ".join(parts) if parts else "no faults"
 
 
 @dataclass(frozen=True)

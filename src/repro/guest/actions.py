@@ -175,10 +175,6 @@ class Waitable:
             return thread
         return None
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self.spinners) + len(self.blocked)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} spin={len(self.spinners)} blk={len(self.blocked)}>"
 

@@ -215,7 +215,7 @@ class XenBusCpuDriver:
             for index in range(len(kernel.runqueues))
         }
         prefix = f"/local/domain/{kernel.domain.name}/cpu"
-        self._token = store.watch(prefix, self._on_change)
+        store.watch(prefix, self._on_change)
         #: Desired states queued while an operation is in flight.
         self._pending: dict[int, str] = {}
 

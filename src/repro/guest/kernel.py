@@ -21,7 +21,7 @@ spin budgets therefore measure on-CPU time, exactly like a real busy-wait.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from repro.guest.actions import (
@@ -83,8 +83,6 @@ class GuestConfig:
     pv_spinlock: bool = False
     #: On-CPU spin budget before a pv-spinlock waiter yields.
     pv_spin_budget_ns: int = 30 * US
-    #: Extra bookkeeping for experiments.
-    tags: dict = field(default_factory=dict)
 
 
 class _FreezeMask(set):

@@ -7,7 +7,7 @@ pool for guest domains that is separate from dom0's dedicated cores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.units import MS, US  # noqa: F401 (US used by downstream configs)
 
@@ -24,8 +24,6 @@ class HostConfig:
     tick_ns: int = 10 * MS
     #: Credit (re)allocation period — Xen runs accounting every 3 ticks.
     acct_ns: int = 30 * MS
-    #: Cost of a world switch between vCPUs on a pCPU.
-    ctx_switch_ns: int = 1500
     #: Xen's sched_ratelimit_us (default 1000): a vCPU that just started
     #: running cannot be preempted — even by a BOOST wake — until it has
     #: run this long.  This is what makes cross-vCPU wake-ups expensive
@@ -51,8 +49,6 @@ class HostConfig:
     #: defers to the ``REPRO_SCHEDULER`` environment variable and then to
     #: "credit", resolved when the Machine is built.
     scheduler: str | None = None
-    #: Extra labels for experiment bookkeeping.
-    tags: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.pcpus < 1:

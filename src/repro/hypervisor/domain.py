@@ -230,9 +230,6 @@ class Domain:
             if v.state is not VCPUState.FROZEN and not v.freeze_pending
         ]
 
-    def frozen_vcpus(self) -> list[VCPU]:
-        return [v for v in self.vcpus if v.state is VCPUState.FROZEN]
-
     def new_event_channel(self, name: str, bound_vcpu: int = 0) -> "EventChannel":
         from repro.hypervisor.irq import EventChannel
 

@@ -15,7 +15,7 @@ availability keys through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from repro.units import US
@@ -38,7 +38,6 @@ class XenStoreError(KeyError):
 class _Watch:
     path_prefix: str
     callback: Callable[[str, str], None]
-    token: int
 
 
 class XenStore:
@@ -55,7 +54,6 @@ class XenStore:
         self.watch_latency_ns = watch_latency_ns
         self._tree: dict[str, str] = {}
         self._watches: list[_Watch] = []
-        self._next_token = 1
         self.writes = 0
         self.watch_fires = 0
 
@@ -77,17 +75,6 @@ class XenStore:
     def exists(self, path: str) -> bool:
         return self._normalize(path) in self._tree
 
-    def ls(self, path: str) -> list[str]:
-        """Immediate child names under ``path``."""
-        prefix = self._normalize(path)
-        if prefix != "/":
-            prefix += "/"
-        children = set()
-        for key in self._tree:
-            if key.startswith(prefix):
-                children.add(key[len(prefix):].split("/", 1)[0])
-        return sorted(children)
-
     def write(self, path: str, value: str) -> None:
         """Write a key; watches fire after the modeled latencies.
 
@@ -103,39 +90,20 @@ class XenStore:
 
     def _commit(self, path: str, value: str) -> None:
         self._tree[path] = value
-        for watch in list(self._watches):
+        for watch in self._watches:
             if path == watch.path_prefix or path.startswith(watch.path_prefix + "/"):
                 self.machine.sim.schedule(
                     self.watch_latency_ns, self._fire, watch, path, value
                 )
 
     def _fire(self, watch: _Watch, path: str, value: str) -> None:
-        if watch not in self._watches:
-            return  # unregistered while the upcall was in flight
         self.watch_fires += 1
         watch.callback(path, value)
 
-    def rm(self, path: str) -> None:
-        """Remove a key and its whole subtree (no watch fire, like xs rm)."""
-        prefix = self._normalize(path)
-        doomed = [
-            key
-            for key in self._tree
-            if key == prefix or key.startswith(prefix + "/")
-        ]
-        for key in doomed:
-            del self._tree[key]
-
     # ------------------------------------------------------------------
-    def watch(self, path_prefix: str, callback: Callable[[str, str], None]) -> int:
-        """Register a watch on a subtree; returns a token for unwatch."""
-        watch = _Watch(self._normalize(path_prefix), callback, self._next_token)
-        self._next_token += 1
-        self._watches.append(watch)
-        return watch.token
-
-    def unwatch(self, token: int) -> None:
-        self._watches = [w for w in self._watches if w.token != token]
+    def watch(self, path_prefix: str, callback: Callable[[str, str], None]) -> None:
+        """Register a watch on a subtree."""
+        self._watches.append(_Watch(self._normalize(path_prefix), callback))
 
 
 def availability_path(domain_name: str, vcpu_index: int) -> str:

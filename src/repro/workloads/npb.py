@@ -53,11 +53,6 @@ class NPBProfile:
     #: intra-sweep synchronization is the rank-to-rank relay.
     barrier_every: int = 1
 
-    @property
-    def serial_work_ns(self) -> int:
-        """Per-thread useful work, ignoring synchronization."""
-        return self.iterations * self.phase_ns
-
 
 #: Calibrated profiles, at problem class W (the one class every figure
 #: runs).  Total per-thread work is ~0.4-0.8 s so a full Figure 6 sweep

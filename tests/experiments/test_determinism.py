@@ -3,9 +3,9 @@
 The simulator draws all randomness from named, seeded streams, so one
 cell's result is a pure function of its parameters.  The parallel
 executor relies on that: it may run cells in any process, in any order,
-and serve them from cache, and the assembled results must still be
-byte-identical to a plain serial run.  This test is the standing
-correctness harness for ``repro.parallel`` (tier-1).
+and the assembled results must still be byte-identical to a plain
+serial run.  This test is the standing correctness harness for
+``repro.parallel`` (tier-1).
 """
 
 from repro.experiments import fig6_7, results

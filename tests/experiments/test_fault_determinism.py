@@ -3,9 +3,8 @@
 The fault injector draws from named streams derived from the *plan*
 seed, so an injected run is just as deterministic as a clean one: the
 same (workload seed, fault seed, rate) triple must reproduce the same
-faults, the same degradation counters, and the same report — serially,
-pooled, or cached.  This is what makes the fault matrix cacheable and
-its goldens meaningful.
+faults, the same degradation counters, and the same report — serially
+or pooled.  This is what makes the fault matrix's goldens meaningful.
 """
 
 from repro.experiments import faults, results

@@ -10,7 +10,6 @@ class TestFaultConfig:
     def test_default_injects_nothing(self):
         config = FaultConfig()
         assert not config.any_enabled
-        assert config.describe() == "no faults"
 
     @pytest.mark.parametrize(
         "field", [
@@ -56,10 +55,6 @@ class TestFaultConfig:
     def test_scaled_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             FaultConfig.scaled(1.5)
-
-    def test_describe_lists_enabled_sites(self):
-        text = FaultConfig(ipi_drop_rate=0.25).describe()
-        assert text == "ipi_drop=0.25"
 
 
 class TestFaultEvent:

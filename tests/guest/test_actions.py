@@ -96,7 +96,7 @@ class TestWaitQueue:
         queue.add_spinner(spinner)
         queue.add_blocked(sleeper)
         assert queue.fire_all() == 2
-        assert queue.waiter_count == 0
+        assert not queue.spinners and not queue.blocked
 
     def test_fire_before_any_wait_asserts(self):
         queue = WaitQueue("q")

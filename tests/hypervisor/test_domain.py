@@ -68,11 +68,6 @@ class TestActiveVCPUs:
         assert domain.vcpus[2] not in domain.active_vcpus()
         assert len(domain.active_vcpus()) == 2
 
-    def test_frozen_listed_separately(self, machine):
-        domain = machine.create_domain("vm", vcpus=2)
-        domain.vcpus[1].set_state(VCPUState.FROZEN, 0)
-        assert domain.frozen_vcpus() == [domain.vcpus[1]]
-
 
 class TestEventChannels:
     def test_new_channel_registered(self, machine):

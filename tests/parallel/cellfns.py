@@ -8,17 +8,9 @@ bodies.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 
 def square(x: int) -> int:
-    return x * x
-
-
-def square_with_marker(x: int, marker_dir: str) -> int:
-    """Like :func:`square`, but leaves one file per actual execution."""
-    path = Path(marker_dir) / f"{x}-{os.getpid()}-{os.urandom(4).hex()}"
-    path.write_text(str(x))
     return x * x
 
 
@@ -34,21 +26,11 @@ def boom(x: int) -> int:
 def crash_in_worker(x: int) -> int:
     """Die abruptly (no exception, no cleanup) when run in a pool worker.
 
-    In the main process — i.e. under the executor's serial fallback — it
-    behaves like :func:`square`, so recovery can be observed end to end.
+    In the main process it behaves like :func:`square`, so a cell that is
+    wrongly run inline returns a value instead of killing the test run.
     """
     import multiprocessing
 
     if multiprocessing.parent_process() is not None:
         os._exit(42)
-    return x * x
-
-
-def sleepy_in_worker(x: int, sleep_s: float) -> int:
-    """Hang for ``sleep_s`` when run in a pool worker; instant inline."""
-    import multiprocessing
-    import time
-
-    if multiprocessing.parent_process() is not None:
-        time.sleep(sleep_s)
     return x * x

@@ -1,22 +1,15 @@
 """Tests for the process-pool experiment executor."""
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
-from repro.parallel import (
-    CellSpec,
-    ParallelExecutor,
-    ResultCache,
-    Telemetry,
-    get_default_executor,
-)
+from repro.parallel import CellSpec, ParallelExecutor, Telemetry, get_default_executor
 from tests.parallel import cellfns
 
 
-def specs_for(values, **extra):
-    return [
-        CellSpec("unit", f"cell-{v}", cellfns.square, dict(x=v, **extra))
-        for v in values
-    ]
+def specs_for(values):
+    return [CellSpec("unit", f"cell-{v}", cellfns.square, dict(x=v)) for v in values]
 
 
 def test_inline_execution_preserves_order():
@@ -28,6 +21,9 @@ def test_pool_execution_preserves_order():
     executor = ParallelExecutor(jobs=3)
     values = list(range(10))
     assert executor.run_cells(specs_for(values)) == [v * v for v in values]
+    assert [r.cell for r in executor.telemetry.records] == [
+        f"cell-{v}" for v in values
+    ]
 
 
 def test_pool_uses_worker_processes():
@@ -59,67 +55,35 @@ def test_cell_exceptions_propagate():
         executor.run_cells([CellSpec("unit", "boom", cellfns.boom, dict(x=5))])
 
 
-def test_cache_skips_reexecution(tmp_path):
-    markers = tmp_path / "markers"
-    markers.mkdir()
-    cache = ResultCache(tmp_path / "cache")
-    specs = [
-        CellSpec(
-            "unit",
-            f"cell-{v}",
-            cellfns.square_with_marker,
-            dict(x=v, marker_dir=str(markers)),
+def test_pool_mode_exceptions_are_not_swallowed():
+    executor = ParallelExecutor(jobs=2)
+    # Either cell's exception may surface first; both are real bugs.
+    with pytest.raises(RuntimeError, match=r"cell [56] failed"):
+        executor.run_cells(
+            [CellSpec("unit", f"boom-{v}", cellfns.boom, dict(x=v)) for v in (5, 6)]
         )
-        for v in range(3)
-    ]
-    first = ParallelExecutor(jobs=1, cache=cache)
-    assert first.run_cells(specs) == [0, 1, 4]
-    assert len(list(markers.iterdir())) == 3
-    assert (first.telemetry.hits, first.telemetry.misses) == (0, 3)
-
-    second = ParallelExecutor(jobs=1, cache=cache)
-    assert second.run_cells(specs) == [0, 1, 4]
-    # No cell was re-executed: the marker count did not grow.
-    assert len(list(markers.iterdir())) == 3
-    assert (second.telemetry.hits, second.telemetry.misses) == (3, 0)
 
 
-def test_no_cache_always_reexecutes(tmp_path):
-    markers = tmp_path / "markers"
-    markers.mkdir()
-    spec = CellSpec(
-        "unit", "cell", cellfns.square_with_marker, dict(x=2, marker_dir=str(markers))
-    )
-    executor = ParallelExecutor(jobs=1, cache=None)
-    assert executor.run_cell(spec) == 4
-    assert executor.run_cell(spec) == 4
-    assert len(list(markers.iterdir())) == 2
-    assert (executor.telemetry.hits, executor.telemetry.misses) == (0, 2)
-
-
-def test_corrupt_cache_entry_recomputed(tmp_path):
-    cache = ResultCache(tmp_path)
-    spec = CellSpec("unit", "cell", cellfns.square, dict(x=6))
-    executor = ParallelExecutor(jobs=1, cache=cache)
-    assert executor.run_cell(spec) == 36
-    [entry] = list(cache.entries())
-    entry.write_bytes(b"not a pickle")
-    assert executor.run_cell(spec) == 36
-    assert executor.telemetry.misses == 2
+def test_lost_worker_fails_the_run():
+    # A deterministic cell that kills its worker would kill it again on a
+    # retry, so the run fails instead of rerunning the cell elsewhere.
+    executor = ParallelExecutor(jobs=2)
+    specs = [CellSpec("unit", "crash", cellfns.crash_in_worker, dict(x=3))]
+    specs += specs_for([4])
+    with pytest.raises(BrokenProcessPool):
+        executor.run_cells(specs)
 
 
 def test_telemetry_records_timestamps():
     telemetry = Telemetry()
     executor = ParallelExecutor(jobs=1, telemetry=telemetry)
     executor.run_cells(specs_for([1, 2]))
-    assert len(telemetry.records) == 2
+    assert [r.cell for r in telemetry.records] == ["cell-1", "cell-2"]
     for record in telemetry.records:
         assert record.finished >= record.started
-        assert not record.cache_hit
-    assert "misses=2" in telemetry.summary()
+    assert "cells=2 " in telemetry.summary()
     payload = telemetry.to_dict()
-    assert payload["misses"] == 2
-    assert len(payload["cells"]) == 2
+    assert [c["cell"] for c in payload["cells"]] == ["cell-1", "cell-2"]
 
 
 def test_jobs_floor_is_one():

@@ -119,7 +119,7 @@ def test_attach_stream_drains_at_batch_threshold():
 
 def test_executor_trace_dir_writes_one_trace_per_cell(tmp_path):
     trace_dir = tmp_path / "traces"
-    executor = ParallelExecutor(jobs=1, cache=None, trace_dir=trace_dir)
+    executor = ParallelExecutor(jobs=1, trace_dir=trace_dir)
     kwargs = {"app": "cg", "vcpus": 2, "config": "VSCALE", "seed": 3,
               "work_scale": 0.02}
     specs = [

@@ -55,11 +55,6 @@ def test_team_defaults_to_provisioned_vcpus():
     assert len(app.harness.threads) == 4
 
 
-def test_serial_work_property():
-    profile = NPB_PROFILES["bt"]
-    assert profile.serial_work_ns == profile.iterations * profile.phase_ns
-
-
 def test_duration_scales_with_team_packing():
     """2 threads on 4 vCPUs do the same per-thread work as 4 threads, so
     the app's total work halves; the makespan should not grow."""
