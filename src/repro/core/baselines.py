@@ -70,7 +70,7 @@ class VCPUBalManager:
         self.config = config or VCPUBalConfig()
         self.mechanism = HotplugMechanism(kernel, hotplug_model)
         #: The machine-wide store: decisions ride the same XenStore/XenBus
-        #: bus every other component (and the recovery checkpoints) sees.
+        #: bus every other component (and the machine-state observer) sees.
         self.store = kernel.machine.xenstore
         self.driver = XenBusCpuDriver(kernel, self.store, self.mechanism)
         self.reconfigurations = 0

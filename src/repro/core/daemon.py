@@ -7,8 +7,8 @@ balancer to freeze or unfreeze vCPUs — highest index frozen first, lowest
 unfrozen first, so vCPU0 (the master) is always online.
 
 The daemon is an *optional service*: applications that pin threads or
-assume a fixed processor count can disable it (``enabled=False`` or
-:meth:`VScaleDaemon.disable`), matching the paper's flexibility principle.
+assume a fixed processor count can switch it off with
+:meth:`VScaleDaemon.disable`, matching the paper's flexibility principle.
 """
 
 from __future__ import annotations
@@ -180,9 +180,6 @@ class VScaleDaemon:
 
     def disable(self) -> None:
         self.enabled = False
-
-    def enable(self) -> None:
-        self.enabled = True
 
     # ------------------------------------------------------------------
     def _behavior(self):

@@ -13,13 +13,9 @@ crash schedules (:func:`repro.faults.chaos.generate_plan`):
   per-domain decisions (runs the VANILLA + VCPU-Bal stack, so its
   slowdown column compares mechanism-internal degradation, not vScale).
 
-Immediately before every scripted daemon crash the harness captures a
-deterministic :class:`~repro.recovery.checkpoint.Checkpoint` — snapshots
-are pure, so the run is bit-identical to never snapshotting — and the
-cell reports their fingerprints alongside the recovery counters
+Each cell reports the recovery counters
 (:class:`repro.recovery.RecoveryStats`).  The claim under test: every
-crash-stop fault has a bounded, explicit recovery path, and the
-machinery for proving it (checkpoint/restore) does not perturb the run.
+crash-stop fault has a bounded, explicit recovery path.
 """
 
 from __future__ import annotations
@@ -56,10 +52,6 @@ class ChaosCell:
     app: str
     duration_ns: int
     wait_ns: int
-    #: Checkpoints captured immediately before scripted daemon crashes.
-    snapshots_taken: int
-    #: Their SHA-256 state fingerprints, in capture order.
-    snapshot_fingerprints: list[str] = field(default_factory=list)
     #: :meth:`repro.recovery.RecoveryStats.to_dict`, {} for ``none``.
     recovery: dict = field(default_factory=dict)
     #: The daemon's degradation counters, {} for the ``outage`` profile.
@@ -138,17 +130,7 @@ def run_chaos_cell(
         builder.daemon_config = DaemonConfig.crash_hardened()
         scenario = builder.build()
 
-    # Snapshot immediately before every scripted daemon crash: snapshots
-    # are pure, so these events leave the run bit-identical.
     machine = scenario.machine
-    checkpoints: list = []
-    if plan is not None:
-        for event in plan.events:
-            if event.site == "daemon_crash":
-                machine.sim.schedule_at(
-                    event.at_ns, lambda: checkpoints.append(machine.snapshot())
-                )
-
     scenario.start()
     scenario.run(WARMUP_NS)
 
@@ -176,8 +158,6 @@ def run_chaos_cell(
         app=app_name,
         duration_ns=duration,
         wait_ns=wait,
-        snapshots_taken=len(checkpoints),
-        snapshot_fingerprints=[c.fingerprint for c in checkpoints],
         recovery=(
             machine.faults.recovery.to_dict() if machine.faults is not None else {}
         ),
@@ -205,7 +185,6 @@ class ChaosResult:
             [
                 "profile", "time (s)", "slowdown", "crashes", "restores",
                 "hangs", "clears", "outages", "resyncs", "rec epochs",
-                "snapshots",
             ],
         )
         for profile in PROFILES:
@@ -229,7 +208,6 @@ class ChaosResult:
                 rec.get("balancer_outages", 0),
                 rec.get("balancer_resyncs", 0),
                 epochs,
-                cell.snapshots_taken,
             )
         return table.render()
 

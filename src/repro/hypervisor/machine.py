@@ -23,7 +23,6 @@ from repro.sim.trace import NULL_TRACER, Tracer
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.extendability import VScaleExtension
     from repro.faults import FaultInjector, FaultPlan
-    from repro.recovery.checkpoint import Checkpoint
     from repro.sanitize import Sanitizer
 
 # Enum members read per interrupt, as module constants (a global load is
@@ -509,38 +508,6 @@ class Machine:
         if self.vscale is None:
             raise RuntimeError("vScale extension not installed on this host")
         return self.vscale.read(domain)
-
-    # ------------------------------------------------------------------
-    # Checkpoint/restore (see repro.recovery.checkpoint for the format)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> "Checkpoint":
-        """Capture a deterministic checkpoint of the whole simulation.
-
-        Local import: repro.recovery imports machine types, so importing
-        it at module scope would cycle.
-        """
-        from repro.recovery.checkpoint import capture
-
-        checkpoint = capture(self)
-        # Marker emitted *after* the capture: replay tooling uses it to
-        # locate resumable instants, and emitting post-capture keeps the
-        # snapshot purity contract (state_dict never sees the marker).
-        self.tracer.emit(
-            self.sim.now, "snapshot", "capture", "machine",
-            at_ns=checkpoint.at_ns, fingerprint=checkpoint.fingerprint,
-        )
-        return checkpoint
-
-    @staticmethod
-    def restore(checkpoint: "Checkpoint", build: Callable[[], "Machine"]):
-        """Rebuild via ``build()`` and replay to the checkpoint's instant.
-
-        Returns the restored machine; raises ``RestoreMismatch`` when the
-        replayed state does not fingerprint-match the checkpoint.
-        """
-        from repro.recovery.checkpoint import restore as restore_checkpoint
-
-        return restore_checkpoint(checkpoint, build)
 
     # ------------------------------------------------------------------
     # Pool introspection

@@ -124,11 +124,11 @@ class Scheduler:
         raise NotImplementedError
 
     def state_dict(self) -> dict:
-        """JSON-able snapshot of the scheduler's dispatch state.
+        """JSON-able view of the scheduler's dispatch state.
 
-        Used by checkpoint/restore equivalence checks: two scheduler
-        instances with equal state dicts will make identical future
-        dispatch decisions.  The shared part covers the runqueues (as
+        Part of the machine-state observer (:mod:`repro.recovery.state`):
+        two scheduler instances with equal state dicts will make
+        identical future dispatch decisions.  The shared part covers the runqueues (as
         ordered vCPU names) and the backlog; policy-private state —
         vruntimes, credit epochs, parked domains — comes from
         :meth:`_state_extra`, which every zoo scheduler overrides.
@@ -180,7 +180,7 @@ class Scheduler:
         csched's per-period credit distribution (clamp to ±acct, no shift)
         and Credit2's global reset (clamp the carry-over, shift by the new
         allotment).  A clamped balance is the bound *object*, so an int
-        bound stays an int: checkpoint state serializes ``300`` and
+        bound stays an int: the machine-state observer serializes ``300`` and
         ``300.0`` differently.  A zero shift is skipped rather than added,
         because ``0 + -0.0`` is ``0.0``.  Policies whose epoch update is
         not uniform across a batch (e.g. per-vCPU deltas that depend on

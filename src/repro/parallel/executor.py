@@ -17,6 +17,9 @@ retry would fail the same way.
 ``REPRO_JOBS`` (read by :func:`get_default_executor` and the constructor
 default) sets the worker-process count; it defaults to
 ``os.cpu_count()``, and ``1`` runs cells inline in the calling process.
+Cells also run inline while ``REPRO_TRACE`` is set: that capture numbers
+and closes its trace files in one process (see
+:mod:`repro.tracelog.capture`).
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ class ParallelExecutor:
         payloads = [
             (spec.fn, dict(spec.kwargs), self._trace_target(spec)) for spec in specs
         ]
-        if self.jobs == 1 or len(specs) <= 1:
+        if self.jobs == 1 or len(specs) <= 1 or os.environ.get("REPRO_TRACE"):
             return self._collect(specs, map(_invoke, payloads))
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self.jobs, len(specs)), mp_context=_pool_context()

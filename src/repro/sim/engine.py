@@ -179,9 +179,10 @@ class _WheelQueue:
     def iter_live(self):
         """Yield live events in arbitrary order, without mutating the queue.
 
-        Snapshot support: iterates the current-granule heap, every wheel
-        bucket, and the overflow heap as plain lists — no pops, so the
-        queue (including tombstone placement) is left byte-identical.
+        For the machine-state observer: iterates the current-granule
+        heap, every wheel bucket, and the overflow heap as plain lists —
+        no pops, so the queue (including tombstone placement) is left
+        byte-identical.
         """
         for entry in self._cur_heap:
             if not entry[3].cancelled:
@@ -434,10 +435,11 @@ class Simulator:
     def snapshot_events(self) -> list[tuple[int, int, str]]:
         """The live event queue as sorted ``(time, seq, callback)`` rows.
 
-        Callbacks are identified by qualified name — enough to fingerprint
-        the queue for restore-equivalence checks (two runs whose queues
-        hold the same callbacks at the same ``(time, seq)`` positions are
-        in the same scheduling state).  Read-only: the queue is untouched.
+        Callbacks are identified by qualified name — enough for the
+        machine-state observer to fingerprint the queue (two runs whose
+        queues hold the same callbacks at the same ``(time, seq)``
+        positions are in the same scheduling state).  Read-only: the
+        queue is untouched.
         """
         rows = []
         for event in self._queue.iter_live():

@@ -138,7 +138,7 @@ class BufferedStream:
         return scale * self._take(size)
 
     def state_dict(self) -> dict:
-        """JSON-able snapshot of the stream position.
+        """JSON-able view of the stream position.
 
         Captures the underlying bit-generator state plus any prefetched
         variates not yet handed out, so two streams with equal state
@@ -227,11 +227,11 @@ class SeedSequenceFactory:
         return stream
 
     def state_dict(self) -> dict:
-        """JSON-able snapshot of every stream this factory has issued.
+        """JSON-able view of every stream this factory has issued.
 
         Stream *positions* matter, not just the seed: two factories with
         the same seed but different draw counts diverge on the next draw,
-        so checkpoint equality must compare bit-generator states.
+        so machine-state equality must compare bit-generator states.
         """
         return {
             "seed": self.seed,
@@ -278,7 +278,7 @@ def jittered_sum(rng, costs) -> int:
     stream directly, one frame per sample.
 
     Bit-identical to summing sequential ``jittered`` calls — the same
-    variates come off the same stream positions (so checkpoint
+    variates come off the same stream positions (so machine-state
     fingerprints of the stream state are unchanged), the per-sample
     scaling uses the same association ``mean + (mean * sigma) * x``, and
     integer summation is exact.

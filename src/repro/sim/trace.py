@@ -42,7 +42,7 @@ class Tracer:
     #: Categories the stack emits.  "dispatch" (one record per simulator
     #: event dispatch) is the firehose — enabled only on request.
     KNOWN_CATEGORIES = frozenset(
-        {"sched", "irq", "guest", "vscale", "workload", "fault", "snapshot", "dispatch"}
+        {"sched", "irq", "guest", "vscale", "workload", "fault", "dispatch"}
     )
 
     def __init__(

@@ -4,17 +4,19 @@ Two entry points:
 
 * ``REPRO_TRACE=path`` in the environment — every machine built in the
   process streams its trace to ``path`` (``path``, ``path.1``, ``path.2``
-  … when a run builds several machines).  Zero code changes needed; the
-  hook is a no-op when the variable is unset, so untraced runs stay
-  bit-identical to the goldens.
+  … when a run builds several machines), and the files are closed at
+  exit.  Zero code changes needed; the hook is a no-op when the variable
+  is unset, so untraced runs stay bit-identical to the goldens.
 * :func:`capture_to` — a context manager for programmatic capture, used
   by the replay verifier and the per-cell capture in the parallel
   executor.
 
-``REPRO_TRACE`` is a *single-process* facility: fork-pool workers would
-race on the suffix counter.  Multi-process runs should pass
-``--trace-dir`` to the experiment runner instead, which routes one
-explicit path per cell through :func:`capture_to` inside each worker.
+``REPRO_TRACE`` is a *single-process* facility: one counter numbers the
+files and an exit hook closes them, which a forked pool worker never
+runs.  The parallel executor therefore runs its cells in-process while
+``REPRO_TRACE`` is set.  For per-cell traces from a pooled run, pass
+``--trace-dir`` to the experiment runner, which routes one explicit path
+per cell through :func:`capture_to` inside each worker.
 """
 
 from __future__ import annotations
@@ -31,24 +33,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hypervisor.machine import Machine
 
 #: Categories captured by default.  "dispatch" (one record per simulator
-#: event) is opt-in via REPRO_TRACE_CATEGORIES / the categories argument:
-#: it multiplies trace volume several-fold and is only needed when
-#: debugging the engine itself.
+#: event) is opt-in via the categories argument (``trace_tools.py capture
+#: --categories``): it multiplies trace volume several-fold and is only
+#: needed when debugging the engine itself.
 DEFAULT_CATEGORIES = frozenset(Tracer.KNOWN_CATEGORIES - {"dispatch"})
 
 #: Cap on machines traced per capture, so a pathological loop building
-#: machines cannot fill the disk.  Override with REPRO_TRACE_LIMIT.
-DEFAULT_MACHINE_LIMIT = 64
+#: machines cannot fill the disk.
+MACHINE_LIMIT = 64
 
 
 class _Capture:
     """One active capture: a base path plus per-machine writers."""
 
-    def __init__(self, path: str, meta: dict | None, categories, limit: int):
+    def __init__(self, path: str, meta: dict | None, categories):
         self.path = str(path)
         self.meta = dict(meta or {})
         self.categories = frozenset(categories or DEFAULT_CATEGORIES)
-        self.limit = limit
         self.writers: list[TraceWriter] = []
 
     def _next_path(self) -> str:
@@ -56,7 +57,7 @@ class _Capture:
         return self.path if n == 0 else f"{self.path}.{n}"
 
     def attach(self, machine: "Machine") -> None:
-        if len(self.writers) >= self.limit:
+        if len(self.writers) >= MACHINE_LIMIT:
             return
         meta = dict(self.meta)
         meta["machine"] = len(self.writers)
@@ -91,24 +92,9 @@ def maybe_install(machine: "Machine") -> None:
     path = os.environ.get("REPRO_TRACE")
     if not path:
         return
-    categories = _categories_from_env()
-    limit = int(os.environ.get("REPRO_TRACE_LIMIT", DEFAULT_MACHINE_LIMIT))
-    _active = _Capture(path, {"source": "env"}, categories, limit)
+    _active = _Capture(path, {"source": "env"}, DEFAULT_CATEGORIES)
     atexit.register(_close_env_capture)
     _active.attach(machine)
-
-
-def _categories_from_env() -> frozenset:
-    raw = os.environ.get("REPRO_TRACE_CATEGORIES")
-    if not raw:
-        return DEFAULT_CATEGORIES
-    requested = frozenset(c.strip() for c in raw.split(",") if c.strip())
-    unknown = requested - Tracer.KNOWN_CATEGORIES
-    if unknown:
-        raise ValueError(
-            f"REPRO_TRACE_CATEGORIES names unknown categories: {sorted(unknown)}"
-        )
-    return requested
 
 
 def _close_env_capture() -> None:
@@ -120,10 +106,7 @@ def _close_env_capture() -> None:
 
 @contextlib.contextmanager
 def capture_to(
-    path: str,
-    meta: dict | None = None,
-    categories=None,
-    limit: int = DEFAULT_MACHINE_LIMIT,
+    path: str, meta: dict | None = None, categories=None
 ) -> Iterator[_Capture]:
     """Capture every machine built inside the block to ``path``.
 
@@ -134,7 +117,7 @@ def capture_to(
     global _active
     if _active is not None:
         raise RuntimeError("a trace capture is already active in this process")
-    _active = capture = _Capture(path, meta, categories, limit)
+    _active = capture = _Capture(path, meta, categories)
     try:
         yield capture
     finally:

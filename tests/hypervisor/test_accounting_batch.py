@@ -3,7 +3,7 @@
 Credit's per-period distribution (clamp to ±acct) and Credit2's global
 reset (clamp the carry-over, then add the new allotment) both go through
 this one hook, so its exact result — values *and* Python types — is what
-the goldens and checkpoint fingerprints see.
+the goldens and machine-state fingerprints see.
 """
 
 from types import SimpleNamespace
@@ -31,7 +31,7 @@ def _apply(credits, delta, bound, shift=0):
 @given(credits=_credits, delta=_floats, bound=_bounds)
 def test_clamped_balances_are_the_bound_objects(credits, delta, bound):
     """A balance at or past a bound is the int bound itself, never an
-    equal float: checkpoint state serializes ``300`` and ``300.0``
+    equal float: the machine-state observer serializes ``300`` and ``300.0``
     differently."""
     for before, after in zip(credits, _apply(credits, delta, bound)):
         raw = before + delta

@@ -55,17 +55,15 @@ def test_build_plan_covers_profiles():
 
 
 def test_chaos_cell_smoke():
-    """One tiny crash cell end to end: snapshots taken, recovery counted,
-    and the cell is deterministic across runs."""
+    """One tiny crash cell end to end: recovery counted, and the cell is
+    deterministic across runs."""
     cell = chaos.run_chaos_cell("crash", work_scale=0.05)
     assert cell.profile == "crash"
-    assert cell.snapshots_taken >= 1
-    assert len(cell.snapshot_fingerprints) == cell.snapshots_taken
     assert cell.recovery["daemon_crashes"] >= 1
     assert cell.recovery["daemon_restarts"] == cell.recovery["daemon_crashes"]
 
     again = chaos.run_chaos_cell("crash", work_scale=0.05)
-    assert again == cell  # bit-identical, fingerprints included
+    assert again == cell  # bit-identical
 
 
 def test_chaos_cell_rejects_unknown_profile():

@@ -53,8 +53,8 @@ class HeapQueue:
     def iter_live(self):
         """Yield live events in arbitrary order, without mutating the queue.
 
-        Snapshot support: this never discards tombstones, so calling it
-        leaves the queue byte-identical.
+        For the machine-state observer: this never discards tombstones,
+        so calling it leaves the queue byte-identical.
         """
         for entry in self._cur_heap:
             if not entry[3].cancelled:

@@ -16,7 +16,7 @@ path.
 
 The property-based test drives random (scheduler, configuration, host
 size, workload, fault-plan) draws through both and requires bit-identical
-machine state: same checkpoint fingerprint, same guest-visible tick
+machine state: same state fingerprint, same guest-visible tick
 counters (after ``sync_ticks`` flushes the closed-form folds), same
 thread/vCPU states and vruntimes, same fault-injection decisions.  Hosts
 of 16 pCPUs carry 14 desktop VMs beside the worker, so tick chains of
@@ -76,7 +76,7 @@ def _tick_path(path):
     original_tick = GuestKernel._tick
     original_horizon = GuestKernel._macro_horizon
 
-    @functools.wraps(original_tick)  # keeps the name checkpoints filter on
+    @functools.wraps(original_tick)  # keeps the name fingerprints filter on
     def counted_tick(self, i):
         fired[0] += 1
         original_tick(self, i)

@@ -46,20 +46,13 @@ def test_env_capture_suffixes_per_machine(tmp_path, monkeypatch):
 def test_env_capture_machine_limit(tmp_path, monkeypatch):
     base = tmp_path / "t.rtl"
     monkeypatch.setenv("REPRO_TRACE", str(base))
-    monkeypatch.setenv("REPRO_TRACE_LIMIT", "2")
+    monkeypatch.setattr(capture_mod, "MACHINE_LIMIT", 2)
     for _ in range(4):
         run_machine()
     capture_mod._close_env_capture()
     assert base.exists()
     assert (tmp_path / "t.rtl.1").exists()
     assert not (tmp_path / "t.rtl.2").exists()
-
-
-def test_env_capture_unknown_category_rejected(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.rtl"))
-    monkeypatch.setenv("REPRO_TRACE_CATEGORIES", "sched,nonsense")
-    with pytest.raises(ValueError, match="unknown categories"):
-        run_machine()
 
 
 def test_no_env_no_capture(tmp_path, monkeypatch):
@@ -117,16 +110,35 @@ def test_attach_stream_drains_at_batch_threshold():
     assert drained == [4]  # fired exactly once, at the threshold
 
 
-def test_executor_trace_dir_writes_one_trace_per_cell(tmp_path):
-    trace_dir = tmp_path / "traces"
-    executor = ParallelExecutor(jobs=1, trace_dir=trace_dir)
-    kwargs = {"app": "cg", "vcpus": 2, "config": "VSCALE", "seed": 3,
-              "work_scale": 0.02}
-    specs = [
+def _fig6_specs() -> list[CellSpec]:
+    kwargs = {"app": "cg", "vcpus": 2, "config": "VSCALE", "work_scale": 0.02}
+    return [
         CellSpec("fig6", f"seed{seed}", cells.fig6_cell, {**kwargs, "seed": seed})
         for seed in (3, 4)
     ]
-    results = executor.run_cells(specs)
+
+
+def test_env_capture_in_a_pooled_run(tmp_path, monkeypatch):
+    """REPRO_TRACE with two jobs: the cells run in this process, so every
+    trace file is numbered once and closed, and the results are those of
+    an untraced pooled run."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    untraced = ParallelExecutor(jobs=2).run_cells(_fig6_specs())
+    monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.rtl"))
+    traced = ParallelExecutor(jobs=2).run_cells(_fig6_specs())
+    capture_mod._close_env_capture()
+    assert traced == untraced
+    produced = sorted(tmp_path.iterdir())
+    assert [p.name for p in produced] == ["t.rtl", "t.rtl.1"]
+    for path in produced:
+        _, records = load(str(path))
+        assert records, f"{path} is empty"
+
+
+def test_executor_trace_dir_writes_one_trace_per_cell(tmp_path):
+    trace_dir = tmp_path / "traces"
+    executor = ParallelExecutor(jobs=1, trace_dir=trace_dir)
+    results = executor.run_cells(_fig6_specs())
     assert len(results) == 2
     produced = sorted(p.name for p in trace_dir.iterdir())
     assert produced == ["fig6__seed3.rtl", "fig6__seed4.rtl"]
