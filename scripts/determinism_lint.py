@@ -25,7 +25,7 @@ ASTs under ``src/repro`` and flags the four hazard classes:
     literal, ``set()``/``frozenset()`` call, set comprehension, or a local
     name bound/annotated as a set.  Small-int sets iterate in hash-bucket
     order, not insertion order; feed that into event scheduling and the
-    replay guarantee breaks.  Wrap in ``sorted()`` or use an
+    same-seed guarantee breaks.  Wrap in ``sorted()`` or use an
     insertion-ordered ``dict[K, None]``.
 
 A finding on a line containing ``# det: allow`` is suppressed — use it for

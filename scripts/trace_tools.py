@@ -1,12 +1,10 @@
 #!/usr/bin/env python
-"""Capture, verify and render ``repro.tracelog`` binary traces.
+"""Capture and render ``repro.tracelog`` binary traces.
 
 Subcommands::
 
-    capture  run a named cell (fig6 | chaos) with tracing on
-    verify   replay a trace from its embedded run metadata and compare
-             fingerprints; exits non-zero with a divergence report on
-             mismatch — the CI trace-replay check
+    capture  run a named cell (fig6 | chaos) with tracing on; the
+             capture's arguments go into the trace header
     dump     print a trace's metadata and events (tolerates truncated
              traces from crashed runs)
     gantt    vCPU<->pCPU occupancy timeline with freeze edges
@@ -19,7 +17,7 @@ Subcommands::
 Examples::
 
     python scripts/trace_tools.py capture fig6 --out fig6.rtl --scale 0.2
-    python scripts/trace_tools.py verify fig6.rtl
+    python scripts/trace_tools.py dump fig6.rtl
     python scripts/trace_tools.py gantt fig6.rtl --svg fig6.svg
     python scripts/trace_tools.py overhead
 """
@@ -38,7 +36,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.experiments.runner import positive_scale  # noqa: E402
 from repro.experiments.setups import Config  # noqa: E402
 from repro.tracelog import codec  # noqa: E402
-from repro.tracelog.replay import capture_run, replay_verify  # noqa: E402
+from repro.tracelog.capture import capture_to  # noqa: E402
 
 #: Untraced/traced pairs the overhead check runs, and the bound on the
 #: median of their normalized traced/untraced time ratios.
@@ -55,45 +53,40 @@ def _load(path: str, strict: bool):
 
 
 def _cmd_capture(args: argparse.Namespace) -> int:
-    from repro.tracelog import cells
-
     categories = None
     if args.categories:
         categories = frozenset(
             c.strip() for c in args.categories.split(",") if c.strip()
         )
-    if args.cell == "fig6":
-        fn = cells.fig6_cell
-        kwargs = {
-            "app": args.app,
-            "config": args.config,
-            "seed": args.seed,
-            "work_scale": args.scale,
-            "scheduler": args.scheduler,
-        }
-    else:
-        fn = cells.chaos_cell
-        kwargs = {
-            "profile": args.profile,
-            "app": args.app,
-            "seed": args.seed,
-            "work_scale": args.scale,
-            "scheduler": args.scheduler,
-        }
-    capture_run(fn, kwargs, args.out, categories=categories)
+    meta = {"capture": {key: value for key, value in vars(args).items() if key != "fn"}}
+    with capture_to(args.out, meta=meta, categories=categories):
+        if args.cell == "fig6":
+            from repro.experiments.npb_common import run_cell
+            from repro.workloads.openmp import SPINCOUNT_ACTIVE
+
+            # Fig 6's 4-vCPU VM, threads spinning actively.
+            run_cell(
+                args.app,
+                4,
+                SPINCOUNT_ACTIVE,
+                Config[args.config],
+                seed=args.seed,
+                work_scale=args.scale,
+                scheduler=args.scheduler,
+            )
+        else:
+            from repro.experiments.chaos import run_chaos_cell
+
+            run_chaos_cell(
+                args.profile,
+                app_name=args.app,
+                seed=args.seed,
+                work_scale=args.scale,
+                scheduler=args.scheduler,
+            )
     _, records = codec.load(args.out)
     print(f"captured {len(records)} events to {args.out}")
     return 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        report = replay_verify(args.trace)
-    except (codec.TraceFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report.render())
-    return 0 if report.match else 1
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
@@ -140,7 +133,6 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     sys.path.append(str(REPO / "benchmarks" / "e2e"))
     from e2e_cells import make_cell
     from e2e_worker import run_sampled
-    from repro.tracelog.capture import capture_to
 
     cell = make_cell("npb_fig6", app="cg", config="VSCALE", seed=3, work_scale=0.5)
     ratios = []
@@ -201,10 +193,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated trace categories (default: all but dispatch)",
     )
     p.set_defaults(fn=_cmd_capture)
-
-    p = sub.add_parser("verify", help="replay a trace and compare fingerprints")
-    p.add_argument("trace")
-    p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("dump", help="print trace metadata and events")
     p.add_argument("trace")

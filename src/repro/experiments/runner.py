@@ -241,13 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument(
-        "--trace-dir",
-        type=Path,
-        default=None,
-        help="stream a binary trace per cell to this directory "
-        "(<experiment>__<cell>.rtl)",
-    )
-    parser.add_argument(
         "--scheduler",
         default=None,
         help="pool scheduler for scheduler-aware grids "
@@ -283,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"(scheduler-aware: {', '.join(sorted(SCHEDULER_AWARE))})"
             )
 
-    executor = ParallelExecutor(jobs=args.jobs, trace_dir=args.trace_dir)
+    executor = ParallelExecutor(jobs=args.jobs)
     telemetry = executor.telemetry
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,6 @@ from repro.hypervisor.schedulers import (
     CreditScheduler,
     RoundRobinScheduler,
     Scheduler,
-    SchedulerConfig,
     VrtScheduler,
     available as available_schedulers,
 )
@@ -37,7 +36,6 @@ from repro.hypervisor.schedulers import (
 __all__ = [
     "HostConfig",
     "Scheduler",
-    "SchedulerConfig",
     "CreditScheduler",
     "Credit2Scheduler",
     "CfsScheduler",

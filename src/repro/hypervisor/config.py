@@ -35,8 +35,9 @@ class HostConfig:
     #: vScale extendability recalculation period (paper: 10 ms).
     vscale_period_ns: int = 10 * MS
     #: Use per-VM weight (the paper's modification).  When False, a domain's
-    #: share scales with its active vCPU count, as in unmodified Xen 4.5 —
-    #: kept for the ablation benchmark.
+    #: share scales with its active vCPU count, as in unmodified Xen 4.5.
+    #: No experiment or benchmark sets it to False; only
+    #: ``tests/hypervisor/test_credit.py`` does, to check that share.
     per_vm_weight: bool = True
     #: Wake-up boost (Xen's BOOST priority) enabled.
     boost_enabled: bool = True
@@ -44,8 +45,7 @@ class HostConfig:
     allow_stealing: bool = True
     #: Pool scheduler, by registry name (see
     #: :mod:`repro.hypervisor.schedulers`): "credit" (Xen 4.x csched, the
-    #: paper's substrate), "credit2", "cfs", "vrt" or "rr".  Accepts a
-    #: :class:`repro.hypervisor.schedulers.SchedulerConfig` too.  ``None``
+    #: paper's substrate), "credit2", "cfs", "vrt" or "rr".  ``None``
     #: defers to the ``REPRO_SCHEDULER`` environment variable and then to
     #: "credit", resolved when the Machine is built.
     scheduler: str | None = None
@@ -59,9 +59,7 @@ class HostConfig:
             raise ValueError("accounting period must be a multiple of the tick")
         # Imported here: the schedulers package imports domain, and config
         # must stay importable before the registry is populated.
-        from repro.hypervisor.schedulers import SchedulerConfig, get
+        from repro.hypervisor.schedulers import get
 
-        if isinstance(self.scheduler, SchedulerConfig):
-            self.scheduler = self.scheduler.name
         if self.scheduler is not None:
             get(self.scheduler)  # raises ValueError for unknown names

@@ -111,7 +111,7 @@ class Machine:
         self.sim = sim or Simulator()
         self.seed = seed
         self.seeds = SeedSequenceFactory(seed)
-        #: Structured trace sink (xentrace-style).  Off by default; pass a
+        #: Structured tracer (xentrace-style).  Off by default; pass a
         #: Tracer with enabled categories to record scheduling decisions,
         #: interrupt delivery and vScale reconfigurations.
         self.tracer = tracer or NULL_TRACER
@@ -202,18 +202,16 @@ class Machine:
         return self.faults
 
     def install_tracer(
-        self,
-        sink: Callable[..., None] | None = None,
-        categories: "frozenset[str] | set[str] | None" = None,
+        self, categories: "frozenset[str] | set[str] | None" = None
     ) -> Tracer:
         """Install (or extend) a recording tracer on this machine.
 
         With no arguments this turns on every category except the
-        "dispatch" firehose, buffered in a small ring — the streaming
-        *sink* (a :class:`repro.tracelog.codec.TraceWriter`) is what
-        persists the full event sequence, so the in-memory ring only
-        needs to serve post-mortem tails.  Requesting "dispatch" also
-        wires the simulator's per-event ``dispatch_trace`` hook.
+        "dispatch" firehose, buffered in a small ring — a
+        :class:`repro.tracelog.codec.TraceWriter` streaming from the
+        tracer (``stream_into``) is what persists the full event
+        sequence.  Requesting "dispatch" also wires the simulator's
+        per-event ``dispatch_trace`` hook.
         """
         if categories is None:
             categories = Tracer.KNOWN_CATEGORIES - {"dispatch"}
@@ -222,8 +220,6 @@ class Machine:
         else:
             for category in categories:
                 self.tracer.enable(category)
-        if sink is not None:
-            self.tracer.sinks.append(sink)
         if "dispatch" in categories and self.sim.dispatch_trace is None:
             self.sim.dispatch_trace = self._trace_dispatch
         return self.tracer

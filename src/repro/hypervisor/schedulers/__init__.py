@@ -11,7 +11,6 @@ from repro.hypervisor.schedulers.base import (
     ENV_VAR,
     QueueScheduler,
     Scheduler,
-    SchedulerConfig,
     available,
     create,
     get,
@@ -29,7 +28,6 @@ __all__ = [
     "ENV_VAR",
     "QueueScheduler",
     "Scheduler",
-    "SchedulerConfig",
     "available",
     "create",
     "get",

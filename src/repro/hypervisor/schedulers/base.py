@@ -41,7 +41,6 @@ the credit scheduler's accounting model.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterator
 
 from repro.hypervisor.domain import VCPU, VCPUState
@@ -434,21 +433,3 @@ def create(name: str | None, machine: "Machine") -> Scheduler:
     """Instantiate the scheduler selected by ``name`` (or env/default)."""
     return get(resolve_name(name))(machine)
 
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Declarative scheduler selection, embeddable in experiment configs.
-
-    ``name=None`` defers to ``REPRO_SCHEDULER`` (then ``credit``), so a
-    config built once can be pointed at any registered scheduler from the
-    environment without touching code.
-    """
-
-    name: str | None = None
-
-    def resolved(self) -> str:
-        return resolve_name(self.name)
-
-    @classmethod
-    def from_env(cls) -> "SchedulerConfig":
-        return cls(os.environ.get(ENV_VAR) or None)

@@ -27,10 +27,8 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
-import re
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.parallel.telemetry import CellRecord, Telemetry
@@ -60,27 +58,11 @@ class CellSpec:
     kwargs: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _invoke(
-    payload: tuple[Callable, dict, "tuple[str, dict] | None"],
-) -> tuple[Any, float, float]:
-    """Worker-side cell execution (top-level, hence picklable).
-
-    The optional third element is ``(trace_path, trace_meta)``: the cell
-    runs under a :func:`repro.tracelog.capture.capture_to` block and its
-    binary trace streams to ``trace_path``.  Installed worker-side so the
-    per-cell capture works across process boundaries (the fork pool must
-    not share one suffix counter).
-    """
-    fn, kwargs, trace = payload
+def _invoke(payload: tuple[Callable, dict]) -> tuple[Any, float, float]:
+    """Worker-side cell execution (top-level, hence picklable)."""
+    fn, kwargs = payload
     started = time.time()  # det: allow (telemetry, not simulation state)
-    if trace is None:
-        value = fn(**kwargs)
-    else:
-        from repro.tracelog.capture import capture_to
-
-        trace_path, trace_meta = trace
-        with capture_to(trace_path, meta=trace_meta):
-            value = fn(**kwargs)
+    value = fn(**kwargs)
     return value, started, time.time()  # det: allow (telemetry)
 
 
@@ -95,25 +77,15 @@ class ParallelExecutor:
     """Runs cell grids across a process pool, results in submission order."""
 
     def __init__(
-        self,
-        jobs: int | None = None,
-        telemetry: Telemetry | None = None,
-        trace_dir: "str | Path | None" = None,
+        self, jobs: int | None = None, telemetry: Telemetry | None = None
     ) -> None:
         self.jobs = max(1, jobs if jobs is not None else jobs_from_env())
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        #: When set, every cell streams a binary trace to
-        #: ``trace_dir/<experiment>__<name>.rtl``.
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        if self.trace_dir is not None:
-            self.trace_dir.mkdir(parents=True, exist_ok=True)
 
     def run_cells(self, specs: Iterable[CellSpec]) -> list[Any]:
         """Run every cell and return the results in submission order."""
         specs = list(specs)
-        payloads = [
-            (spec.fn, dict(spec.kwargs), self._trace_target(spec)) for spec in specs
-        ]
+        payloads = [(spec.fn, dict(spec.kwargs)) for spec in specs]
         if self.jobs == 1 or len(specs) <= 1 or os.environ.get("REPRO_TRACE"):
             return self._collect(specs, map(_invoke, payloads))
         pool = concurrent.futures.ProcessPoolExecutor(
@@ -140,17 +112,6 @@ class ParallelExecutor:
             )
             results.append(value)
         return results
-
-    def _trace_target(self, spec: CellSpec) -> "tuple[str, dict] | None":
-        if self.trace_dir is None:
-            return None
-        stem = re.sub(r"[^A-Za-z0-9._-]+", "_", f"{spec.experiment}__{spec.name}")
-        meta = {
-            "source": "executor",
-            "experiment": spec.experiment,
-            "cell": spec.name,
-        }
-        return str(self.trace_dir / f"{stem}.rtl"), meta
 
 
 _DEFAULT: ParallelExecutor | None = None

@@ -65,11 +65,9 @@ class Tracer:
             deque(maxlen=capacity) if ring else []
         )
         self.dropped = 0
-        #: Optional live sinks, invoked per record (e.g. printing).
-        self.sinks: list[Callable[[TraceRecord], None]] = []
         # Streaming mode (see attach_stream): when set, ``self.records``
         # *is* the writer's pending batch and emit triggers ``_stream_drain``
-        # instead of paying a per-record sink call.
+        # once it holds a batch.
         self._stream_drain: Callable[[], None] | None = None
         self._stream_batch = 0
 
@@ -95,7 +93,7 @@ class Tracer:
 
         Streaming mode for a disk writer: emit's ordinary append feeds
         the writer's batch directly, so each traced event pays one list
-        append plus a length check instead of a per-record sink call.
+        append plus a length check.
         Once ``pending`` holds ``batch`` records, ``drain`` is invoked
         to encode and clear them in place — meaning ``self.records``
         only ever holds the *undrained tail*; the full sequence lives
@@ -139,8 +137,6 @@ class Tracer:
         records.append(record)
         if self._stream_drain is not None and len(records) >= self._stream_batch:
             self._stream_drain()
-        for sink in self.sinks:
-            sink(record)
 
     # ------------------------------------------------------------------
     def select(

@@ -1,25 +1,15 @@
-"""Binary trace streaming and deterministic replay (``repro.tracelog``).
+"""Binary trace streaming (``repro.tracelog``).
 
 * :mod:`repro.tracelog.codec` — the ``RTLG`` binary format: varint-delta
   timestamps, interned strings, typed detail values.
 * :mod:`repro.tracelog.capture` — ``REPRO_TRACE=path`` / ``capture_to``
   wiring of a streaming writer into every machine built.
-* :mod:`repro.tracelog.replay` — fingerprinting, replay-from-metadata,
-  structured divergence reports.
 * :mod:`repro.tracelog.render` / :mod:`repro.tracelog.stats` — Gantt
   timelines (ASCII + SVG) and wakeup-to-run latency distributions.
 """
 
 from repro.tracelog.codec import TraceFormatError, TraceWriter, load
 from repro.tracelog.capture import capture_to, maybe_install
-from repro.tracelog.replay import (
-    DivergenceReport,
-    capture_run,
-    compare_traces,
-    replay_run,
-    replay_verify,
-    trace_fingerprint,
-)
 
 __all__ = [
     "TraceFormatError",
@@ -27,10 +17,4 @@ __all__ = [
     "load",
     "capture_to",
     "maybe_install",
-    "DivergenceReport",
-    "capture_run",
-    "compare_traces",
-    "replay_run",
-    "replay_verify",
-    "trace_fingerprint",
 ]

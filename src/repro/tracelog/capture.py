@@ -8,15 +8,12 @@ Two entry points:
   exit.  Zero code changes needed; the hook is a no-op when the variable
   is unset, so untraced runs stay bit-identical to the goldens.
 * :func:`capture_to` — a context manager for programmatic capture, used
-  by the replay verifier and the per-cell capture in the parallel
-  executor.
+  by ``scripts/trace_tools.py capture`` and the trace tests.
 
 ``REPRO_TRACE`` is a *single-process* facility: one counter numbers the
 files and an exit hook closes them, which a forked pool worker never
 runs.  The parallel executor therefore runs its cells in-process while
-``REPRO_TRACE`` is set.  For per-cell traces from a pooled run, pass
-``--trace-dir`` to the experiment runner, which routes one explicit path
-per cell through :func:`capture_to` inside each worker.
+``REPRO_TRACE`` is set.
 """
 
 from __future__ import annotations
@@ -65,10 +62,9 @@ class _Capture:
         meta["categories"] = sorted(self.categories)
         writer = TraceWriter(self._next_path(), meta)
         self.writers.append(writer)
-        # Stream through the tracer's own record buffer (no per-record
-        # sink call): emit's append feeds the writer's batch directly.
-        tracer = machine.install_tracer(categories=self.categories)
-        writer.stream_into(tracer)
+        # Stream through the tracer's own record buffer: emit's append
+        # feeds the writer's batch directly.
+        writer.stream_into(machine.install_tracer(self.categories))
 
     def close(self) -> None:
         for writer in self.writers:

@@ -99,10 +99,11 @@ def unzigzag(value: int) -> int:
 class TraceWriter:
     """Streams :class:`~repro.sim.trace.TraceRecord`s to a binary file.
 
-    Usable directly as a :class:`~repro.sim.trace.Tracer` sink (the
-    instance is callable).  Writes are buffered and flushed in
-    ``_FLUSH_BYTES`` chunks so the per-event overhead stays bounded;
-    :meth:`close` appends the END record and is idempotent.
+    A :class:`~repro.sim.trace.Tracer` feeds it through
+    :meth:`stream_into`; :meth:`write` queues one record directly.
+    Writes are buffered and flushed in ``_FLUSH_BYTES`` chunks so the
+    per-event overhead stays bounded; :meth:`close` appends the END
+    record and is idempotent.
     """
 
     def __init__(self, path: str, meta: dict | None = None):
@@ -125,24 +126,9 @@ class TraceWriter:
         self._pending: list[TraceRecord] = []
         self._last_time = 0
         self.records_written = 0
-        #: The per-event fast path handed to ``Tracer.sinks``: a closure
-        #: over the pending list, saving a method-dispatch frame per
-        #: traced event.  Unlike :meth:`write` it skips the closed-writer
-        #: check — events sunk after close() are silently dropped.
-        self.sink = self._make_sink()
-
-    def _make_sink(self):
-        pending = self._pending
-        append = pending.append
-        drain = self._drain
-        def sink(record: TraceRecord) -> None:
-            append(record)
-            if len(pending) >= _BATCH_RECORDS:
-                drain()
-        return sink
 
     def stream_into(self, tracer) -> None:
-        """Make ``tracer`` stream through this writer with zero sink calls.
+        """Make ``tracer`` stream through this writer.
 
         The writer's pending batch is adopted as the tracer's record
         buffer, so ``Tracer.emit``'s ordinary append feeds the encoder
@@ -247,7 +233,10 @@ class TraceWriter:
         cache penalties; a drained batch runs at microbenchmark speed."""
         if self._fh is None:
             raise TraceFormatError(f"writer for {self.path} is closed")
-        self.sink(record)
+        pending = self._pending
+        pending.append(record)
+        if len(pending) >= _BATCH_RECORDS:
+            self._drain()
 
     def _drain(self) -> None:
         # Traces repeat a small set of payloads almost always, so the
@@ -258,8 +247,8 @@ class TraceWriter:
         # Memo hits are safe to replay because the strings a cached body
         # references were interned — written to the stream — when that
         # body was first built.
-        # The sink closure holds a reference to self._pending, so the
-        # list is cleared in place rather than rebound.
+        # A streaming tracer holds self._pending as its record buffer,
+        # so the list is cleared in place rather than rebound.
         pending = self._pending
         if not pending:
             return
@@ -311,8 +300,6 @@ class TraceWriter:
         pending.clear()
         if len(buf) >= _FLUSH_BYTES:
             self._write_out()
-
-    __call__ = write
 
     # -- lifecycle -------------------------------------------------------
     def _write_out(self) -> None:
@@ -414,9 +401,9 @@ def read_header(data: bytes) -> tuple[dict, _Cursor]:
 def iter_records(cursor: _Cursor, strict: bool = True) -> Iterator[TraceRecord]:
     """Decode EVENT records from a cursor positioned after the header.
 
-    ``strict=True`` (the default, used by replay verification) raises
-    :class:`TraceFormatError` when the END record is missing or its
-    count disagrees — both signs of a truncated or corrupted file.
+    ``strict=True`` (the default) raises :class:`TraceFormatError` when
+    the END record is missing or its count disagrees — both signs of a
+    truncated or corrupted file.
     ``strict=False`` (the post-mortem ``dump`` path) yields whatever
     prefix decodes cleanly from a crashed run's partial trace.
     """
@@ -493,7 +480,12 @@ def iter_records(cursor: _Cursor, strict: bool = True) -> Iterator[TraceRecord]:
 
 
 def load(path: str, strict: bool = True) -> tuple[dict, list[TraceRecord]]:
-    """Read a whole trace file: ``(metadata, records)``."""
+    """Read a whole trace file: ``(metadata, records)``.
+
+    ``strict`` as in :func:`iter_records`: ``trace_tools.py gantt``,
+    ``stats`` and ``dump --lenient`` load leniently, so a crashed run's
+    partial trace still renders.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()

@@ -12,7 +12,6 @@ from repro.hypervisor.schedulers import (
     CreditScheduler,
     RoundRobinScheduler,
     Scheduler,
-    SchedulerConfig,
     VrtScheduler,
     available,
     create,
@@ -83,15 +82,6 @@ class TestResolution:
         with pytest.raises(ValueError):
             resolve_name(None)
 
-    def test_scheduler_config_resolved(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert SchedulerConfig().resolved() == "credit"
-        assert SchedulerConfig(name="vrt").resolved() == "vrt"
-
-    def test_scheduler_config_from_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "credit2")
-        assert SchedulerConfig.from_env().resolved() == "credit2"
-
 
 class TestWiring:
     def test_create_builds_named_scheduler(self, monkeypatch):
@@ -116,7 +106,7 @@ class TestWiring:
         assert type(machine.scheduler) is CfsScheduler
 
     def test_host_config_accepts_scheduler_config(self):
-        host = HostConfig(pcpus=2, scheduler=SchedulerConfig(name="credit2"))
+        host = HostConfig(pcpus=2, scheduler="credit2")
         assert host.scheduler == "credit2"
 
     def test_host_config_rejects_unknown_scheduler(self):

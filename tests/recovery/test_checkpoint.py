@@ -6,7 +6,8 @@ factory must agree, at every checkpoint instant, on everything
 positions, scheduler runqueues, domain/vCPU/guest state, the xenstore
 tree and the fault injector's position.  The comparison catches state
 that a run carries but never reports, such as a counter seeded from
-process-global state, which result goldens and trace replay miss.
+process-global state, which result goldens and same-seed trace
+comparisons miss.
 
 Observing must not perturb: a run observed mid-way ends in the same
 state as one never observed on the way.

@@ -98,9 +98,12 @@ def test_crashed_and_healthy_twins_converge():
 def test_zero_crash_plan_changes_nothing():
     """A plan without crash events leaves the run identical to no plan at
     all: crash sites consume no randomness when quiet (golden safety)."""
-    from repro.recovery import fingerprint, state_dict
+    from repro.recovery import state_dict
 
-    with_plan = _vscale(FaultPlan(seed=9), DaemonConfig.hardened())
+    # Active (so an injector is installed and every site, crash sites
+    # included, is consulted), but its one event lies past the run.
+    plan = FaultPlan(seed=9, events=(FaultEvent(at_ns=10 * SEC, site="daemon_stall"),))
+    with_plan = _vscale(plan, DaemonConfig.hardened())
     without = _vscale(None, DaemonConfig.hardened())
     with_plan.start()
     without.start()
@@ -109,9 +112,13 @@ def test_zero_crash_plan_changes_nothing():
     a = state_dict(with_plan.machine)
     b = state_dict(without.machine)
     # The injector itself only exists on one side; everything else
-    # (domains, scheduler, pool, engine, rng) must be identical.
-    for key in ("domains", "scheduler", "pool", "engine", "at_ns"):
+    # (domains, scheduler, pool, engine, rng, xenstore) must be identical.
+    assert a["faults"] is not None and b["faults"] is None
+    for key in a.keys() - {"faults"}:
         assert a[key] == b[key], key
+    # Each site draws from its own plan-seeded stream, so a quiet site
+    # that drew would leave the rest equal: check that none drew.
+    assert a["faults"]["rng"]["streams"] == {}
 
 
 # ----------------------------------------------------------------------

@@ -49,15 +49,6 @@ def test_select_filters():
     assert tracer.count(since_ns=2) == 2
 
 
-def test_sinks_receive_records():
-    tracer = Tracer(["vscale"])
-    seen = []
-    tracer.sinks.append(seen.append)
-    tracer.emit(5, "vscale", "freeze", "worker/v3")
-    assert len(seen) == 1
-    assert seen[0].event == "freeze"
-
-
 def test_record_renders_readably():
     record = TraceRecord(2_500_000, "sched", "switch", "v0", {"to": "v1"})
     text = str(record)

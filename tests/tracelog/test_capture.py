@@ -2,16 +2,18 @@
 
 import pytest
 
+from repro.experiments.npb_common import run_cell
+from repro.experiments.setups import Config
 from repro.guest.kernel import GuestKernel
 from repro.hypervisor.config import HostConfig
 from repro.hypervisor.machine import Machine
 from repro.parallel.executor import CellSpec, ParallelExecutor
 from repro.sim.trace import Tracer
 from repro.tracelog import capture as capture_mod
-from repro.tracelog import cells
 from repro.tracelog.capture import capture_to
 from repro.tracelog.codec import TraceWriter, load
 from repro.units import MS
+from repro.workloads.openmp import SPINCOUNT_ACTIVE
 from tests.conftest import busy
 
 
@@ -111,9 +113,15 @@ def test_attach_stream_drains_at_batch_threshold():
 
 
 def _fig6_specs() -> list[CellSpec]:
-    kwargs = {"app": "cg", "vcpus": 2, "config": "VSCALE", "work_scale": 0.02}
+    kwargs = {
+        "app_name": "cg",
+        "vcpus": 2,
+        "spincount": SPINCOUNT_ACTIVE,
+        "config": Config.VSCALE,
+        "work_scale": 0.02,
+    }
     return [
-        CellSpec("fig6", f"seed{seed}", cells.fig6_cell, {**kwargs, "seed": seed})
+        CellSpec("fig6", f"seed{seed}", run_cell, {**kwargs, "seed": seed})
         for seed in (3, 4)
     ]
 
@@ -133,16 +141,3 @@ def test_env_capture_in_a_pooled_run(tmp_path, monkeypatch):
     for path in produced:
         _, records = load(str(path))
         assert records, f"{path} is empty"
-
-
-def test_executor_trace_dir_writes_one_trace_per_cell(tmp_path):
-    trace_dir = tmp_path / "traces"
-    executor = ParallelExecutor(jobs=1, trace_dir=trace_dir)
-    results = executor.run_cells(_fig6_specs())
-    assert len(results) == 2
-    produced = sorted(p.name for p in trace_dir.iterdir())
-    assert produced == ["fig6__seed3.rtl", "fig6__seed4.rtl"]
-    for path in trace_dir.iterdir():
-        meta, records = load(str(path))
-        assert meta["source"] == "executor"
-        assert records
