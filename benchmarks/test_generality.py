@@ -7,39 +7,10 @@ credit scheduler and the virtual-runtime (Credit2-class) scheduler and
 checks that vScale's mechanism delivers on both substrates.
 """
 
-from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
+from repro.experiments.npb_common import run_cell
+from repro.experiments.setups import Config
 from repro.metrics.report import Table
-from repro.sim.rng import SeedSequenceFactory
-from repro.units import SEC
-from repro.workloads.npb import NPBApp, NPB_PROFILES
 from repro.workloads.openmp import SPINCOUNT_ACTIVE
-
-
-def run_cell(scheduler: str, config: Config, app_name: str, seed: int = 3):
-    builder = (
-        ScenarioBuilder(seed=seed, scheduler=scheduler)
-        .with_worker_vm(4)
-        .with_config(config)
-    )
-    scenario = builder.build()
-    scenario.start()
-    scenario.run(2 * SEC)
-    seeds = SeedSequenceFactory(seed)
-    profile = NPB_PROFILES[app_name]
-    domain = scenario.worker_domain
-    machine = scenario.machine
-    wait0 = domain.total_wait_ns(machine.sim.now)
-    app = NPBApp(
-        scenario.worker_kernel,
-        profile,
-        SPINCOUNT_ACTIVE,
-        seeds.generator("npb"),
-        kernel_lock=scenario.worker_kernel_lock,
-    )
-    app.launch()
-    duration = run_until_done(scenario, app)
-    wait = domain.total_wait_ns(machine.sim.now) - wait0
-    return duration, wait
 
 
 def test_vscale_generalizes_across_schedulers(bench_once):
@@ -47,7 +18,8 @@ def test_vscale_generalizes_across_schedulers(bench_once):
         results = {}
         for scheduler in ("credit", "vrt"):
             for config in (Config.VANILLA, Config.VSCALE):
-                results[(scheduler, config)] = run_cell(scheduler, config, "cg")
+                cell = run_cell("cg", 4, SPINCOUNT_ACTIVE, config, scheduler=scheduler)
+                results[(scheduler, config)] = (cell.duration_ns, cell.wait_ns)
         return results
 
     results = bench_once(run)

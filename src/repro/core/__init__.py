@@ -12,7 +12,7 @@ from repro.core.extendability import (
 from repro.core.channel import ChannelCosts, VScaleChannel
 from repro.core.balancer import BalancerCosts, FreezeReport, VScaleBalancer
 from repro.core.daemon import DaemonConfig, VScaleDaemon
-from repro.core.baselines import FixedVCPUPolicy, HotplugScaler, VCPUBalManager
+from repro.core.baselines import HotplugScaler, VCPUBalManager
 
 __all__ = [
     "VMUsage",
@@ -26,7 +26,6 @@ __all__ = [
     "VScaleBalancer",
     "DaemonConfig",
     "VScaleDaemon",
-    "FixedVCPUPolicy",
     "HotplugScaler",
     "VCPUBalManager",
 ]

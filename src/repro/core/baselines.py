@@ -1,7 +1,8 @@
 """Baseline vCPU-scaling managers the paper compares against.
 
-* :class:`FixedVCPUPolicy` — vanilla Xen/Linux: all provisioned vCPUs stay
-  online forever (the no-op manager; useful for symmetric harness code).
+Vanilla Xen/Linux, which keeps every provisioned vCPU online, needs no
+manager at all.
+
 * :class:`VCPUBalManager` — VCPU-Bal (Song et al., APSys'13): the same idea
   as vScale but (a) the target count considers only VM *weights*, not
   consumption (not work-conserving), (b) monitoring is centralized in dom0
@@ -15,9 +16,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.daemon import MIN_VCPUS
 from repro.faults.errors import ChannelReadError
 from repro.guest.actions import BlockOn, Compute, SpinFlag
 from repro.guest.hotplug import HotplugMechanism, HotplugModel
@@ -29,22 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hypervisor.machine import Machine
 
 
-class FixedVCPUPolicy:
-    """Keep every provisioned vCPU online (vanilla behaviour)."""
-
-    def __init__(self, kernel: "GuestKernel"):
-        self.kernel = kernel
-
-    def install(self) -> None:
-        """Nothing to do — present for harness symmetry."""
-
-
-@dataclass
-class VCPUBalConfig:
-    #: dom0's polling period.  VCPU-Bal polls coarsely because each poll
-    #: walks every domain through libxl.
-    period_ns: int = 100 * MS
-    min_vcpus: int = 1
+#: dom0's VCPU-Bal polling period.  VCPU-Bal polls coarsely because each
+#: poll walks every domain through libxl.
+VCPUBAL_PERIOD_NS = 100 * MS
+#: The hotplug scaler's polling period: vScale's daemon period.
+HOTPLUG_PERIOD_NS = 10 * MS
 
 
 class VCPUBalManager:
@@ -61,13 +51,11 @@ class VCPUBalManager:
         kernel: "GuestKernel",
         dom0: "Dom0Toolstack",
         hotplug_model: HotplugModel,
-        config: VCPUBalConfig | None = None,
     ):
         from repro.guest.hotplug import XenBusCpuDriver
 
         self.kernel = kernel
         self.dom0 = dom0
-        self.config = config or VCPUBalConfig()
         self.mechanism = HotplugMechanism(kernel, hotplug_model)
         #: The machine-wide store: decisions ride the same XenStore/XenBus
         #: bus every other component (and the machine-state observer) sees.
@@ -84,13 +72,13 @@ class VCPUBalManager:
         if self._installed:
             raise RuntimeError("manager already installed")
         self._installed = True
-        self.kernel.sim.schedule(self.config.period_ns, self._poll)
+        self.kernel.sim.schedule(VCPUBAL_PERIOD_NS, self._poll)
 
     def _poll(self) -> None:
         machine = self.kernel.machine
         faults = machine.faults
         now = self.kernel.sim.now
-        if faults is not None and faults.balancer_outage(now, self.config.period_ns):
+        if faults is not None and faults.balancer_outage(now, VCPUBAL_PERIOD_NS):
             # Crash-stop outage of the centralized dom0 balancer: the
             # global sweep is unreachable, so degrade to a naive local
             # decision and keep polling for the service to come back.
@@ -100,7 +88,7 @@ class VCPUBalManager:
                     now, "fault", "balancer_outage", self.kernel.domain.name
                 )
             self._naive_decide()
-            self.kernel.sim.schedule(self.config.period_ns, self._poll)
+            self.kernel.sim.schedule(VCPUBAL_PERIOD_NS, self._poll)
             return
         if self._degraded:
             # Explicit re-sync: the first healthy poll after an outage
@@ -158,7 +146,7 @@ class VCPUBalManager:
                     self.store.write(availability_path(name, frozen[0]), "online")
                     self.reconfigurations += 1
             self.trace.append((self.kernel.sim.now, self.kernel.online_vcpus))
-        self.kernel.sim.schedule(self.config.period_ns, self._poll)
+        self.kernel.sim.schedule(VCPUBAL_PERIOD_NS, self._poll)
 
     def _weight_only_target(self, machine: "Machine") -> int:
         """VCPU-Bal's target: the VM's weight share of the pool, ignoring
@@ -168,7 +156,7 @@ class VCPUBalManager:
         share = domain.weight / total_weight * machine.config.pcpus
         import math
 
-        target = max(self.config.min_vcpus, math.ceil(share - 1e-9))
+        target = max(MIN_VCPUS, math.ceil(share - 1e-9))
         return min(target, len(domain.vcpus))
 
 
@@ -184,16 +172,12 @@ class HotplugScaler:
         self,
         kernel: "GuestKernel",
         hotplug_model: HotplugModel,
-        period_ns: int = 10 * MS,
-        min_vcpus: int = 1,
     ):
         from repro.core.channel import VScaleChannel
 
         self.kernel = kernel
         self.channel = VScaleChannel(kernel.domain)
         self.mechanism = HotplugMechanism(kernel, hotplug_model)
-        self.period_ns = period_ns
-        self.min_vcpus = min_vcpus
         self.reconfigurations = 0
         self.read_failures = 0
         self.thread = None
@@ -210,7 +194,7 @@ class HotplugScaler:
         kernel = self.kernel
         while True:
             timer = SpinFlag("hotplugd.timer")
-            kernel.start_timer(self.period_ns, timer)
+            kernel.start_timer(HOTPLUG_PERIOD_NS, timer)
             yield BlockOn(timer)
             if self.mechanism.busy:
                 continue
@@ -223,7 +207,7 @@ class HotplugScaler:
                 continue
             yield Compute(cost)
             total = len(kernel.runqueues)
-            target = max(self.min_vcpus, min(n_opt, total))
+            target = max(MIN_VCPUS, min(n_opt, total))
             online = kernel.online_vcpus
             if target < online:
                 candidates = [

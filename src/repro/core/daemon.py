@@ -28,6 +28,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.guest.threads import Thread
 
 
+#: Never scale below this many online vCPUs (vCPU0, the master, stays).
+MIN_VCPUS = 1
+#: Limit on freeze/unfreeze steps per wakeup.
+MAX_STEPS_PER_WAKEUP = 8
+#: Fraction of a pCPU the partial allocation must reach before the
+#: conservative rounding adds the extra vCPU.
+PARTIAL_THRESHOLD = 0.8
+#: Base backoff spent between channel-read retries; doubles per attempt.
+RETRY_BACKOFF_NS = 50 * US
+
+
 @dataclass
 class DaemonConfig:
     """Daemon policy knobs."""
@@ -40,10 +51,6 @@ class DaemonConfig:
     #: unfreezing early only costs a little fragmentation, while freezing
     #: late wastes the whole benefit.
     shrink_patience: int = 2
-    #: Never scale below this many online vCPUs.
-    min_vcpus: int = 1
-    #: Optional hard limit on reconfigurations per wakeup.
-    max_steps_per_wakeup: int = 8
     #: How to round the extendability (in pCPUs) into a vCPU target.
     #: Algorithm 1 ceils, granting one extra vCPU for a partial allocation.
     #: For busy-waiting workloads that extra vCPU dilutes every sibling
@@ -53,9 +60,6 @@ class DaemonConfig:
     #: partial allocation is worth most of a pCPU.  The ceil/floor choice
     #: is ablated in benchmarks/test_ablations.py.
     round_mode: str = "conservative"  # "ceil" | "floor" | "conservative"
-    #: Fraction of a pCPU the partial allocation must reach before the
-    #: conservative policy adds the extra vCPU.
-    partial_threshold: float = 0.8
 
     # -- graceful-degradation knobs (all off by default: the happy-path
     #    daemon behaves exactly as before; fault experiments enable them
@@ -63,8 +67,6 @@ class DaemonConfig:
     #: Extra attempts after a failed channel read before giving up on the
     #: period (the read itself is attempt 0).
     max_read_retries: int = 2
-    #: Base backoff spent between read retries; doubles per attempt.
-    retry_backoff_ns: int = 50 * US
     #: Ignore readings whose publish timestamp is older than this and hold
     #: the last-known-good vCPU count instead.  0 disables the guard.
     staleness_limit_ns: int = 0
@@ -248,7 +250,7 @@ class VScaleDaemon:
                     yield Compute(exc.cost_ns)
                     if attempt < cfg.max_read_retries:
                         self.stats.read_retries += 1
-                        yield Compute(cfg.retry_backoff_ns << attempt)
+                        yield Compute(RETRY_BACKOFF_NS << attempt)
                     continue
                 yield Compute(reading.cost_ns)
                 break
@@ -380,7 +382,7 @@ class VScaleDaemon:
         if mode == "conservative":
             base = math.floor(pcpus + 1e-9)
             fraction = pcpus - base
-            if fraction >= self.config.partial_threshold:
+            if fraction >= PARTIAL_THRESHOLD:
                 base += 1
             return max(1, base)
         raise ValueError(f"unknown round_mode {mode!r}")
@@ -390,7 +392,7 @@ class VScaleDaemon:
         self.decisions += 1
         kernel = self.kernel
         total = len(kernel.runqueues)
-        target = max(self.config.min_vcpus, min(n_opt, total))
+        target = max(MIN_VCPUS, min(n_opt, total))
         online = kernel.online_vcpus
         if target < online:
             self._shrink_votes += 1
@@ -424,7 +426,7 @@ class VScaleDaemon:
             ]
             for index in sorted(online_set, reverse=True)[: online - target]:
                 steps.append((index, True))
-        return steps[: self.config.max_steps_per_wakeup]
+        return steps[:MAX_STEPS_PER_WAKEUP]
 
     # ------------------------------------------------------------------
     def vcpu_trace(self) -> list[tuple[int, int]]:

@@ -21,19 +21,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.baselines import HotplugScaler, VCPUBalManager
 from repro.core.daemon import DaemonConfig
-from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
-from repro.guest.hotplug import HotplugModel
-from repro.hypervisor.dom0 import Dom0Load, Dom0Toolstack
+from repro.experiments.npb_common import npb_app
+from repro.experiments.setups import (
+    HOTPLUG_KERNEL,
+    Config,
+    Scenario,
+    ScenarioBuilder,
+    install_hotplug_scaler,
+    install_vcpubal,
+    run_app,
+)
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
-from repro.sim.rng import SeedSequenceFactory
-from repro.units import MS, SEC
-from repro.workloads.npb import NPBApp, NPB_PROFILES
+from repro.units import MS
 from repro.workloads.openmp import SPINCOUNT_ACTIVE
-
-WARMUP_NS = 2 * SEC
 
 
 @dataclass
@@ -65,54 +67,38 @@ class AblationResult:
         return table.render()
 
 
-def _run_app(scenario, app_name: str, seed: int, work_scale: float) -> tuple[int, int]:
-    from dataclasses import replace
-
-    seeds = SeedSequenceFactory(seed)
-    profile = NPB_PROFILES[app_name]
-    if work_scale != 1.0:
-        profile = replace(profile, iterations=max(2, round(profile.iterations * work_scale)))
-    domain = scenario.worker_domain
-    wait0 = domain.total_wait_ns(scenario.machine.sim.now)
-    app = NPBApp(
-        scenario.worker_kernel, profile, SPINCOUNT_ACTIVE, seeds.stream("npb", "normal")
-    )
-    app.launch()
-    duration = run_until_done(scenario, app)
-    wait = domain.total_wait_ns(scenario.machine.sim.now) - wait0
-    return duration, wait
+def _measure(
+    scenario: Scenario, label: str, scaler, app_name: str, seed: int, work_scale: float
+) -> AblationPoint:
+    """Run the heavy-spin app on ``scenario``; ``scaler`` (the vScale
+    daemon, a baseline manager or None) counts the reconfigurations."""
+    run = run_app(scenario, npb_app(scenario, app_name, SPINCOUNT_ACTIVE, seed, work_scale))
+    reconfigs = scaler.reconfigurations if scaler is not None else 0
+    return AblationPoint(label, run.duration_ns, run.wait_ns, reconfigs)
 
 
 def _mechanism_point(
     variant: str, app_name: str, hotplug_kernel: str, seed: int, work_scale: float
 ) -> AblationPoint:
     """One mechanism variant: ``fixed`` / ``hotplug`` / ``vscale``."""
-    seeds = SeedSequenceFactory(seed)
     if variant == "fixed":
-        scenario = ScenarioBuilder(seed=seed).with_config(Config.VANILLA).build()
-        label, reconfigs = "fixed vCPUs", lambda: 0
+        scenario = ScenarioBuilder(seed=seed).build()
+        label, scaler = "fixed vCPUs", None
     elif variant == "hotplug":
-        scenario = ScenarioBuilder(seed=seed).with_config(Config.VANILLA).build()
-        model = HotplugModel(hotplug_kernel, seeds.generator("hp"))
-        scaler = HotplugScaler(scenario.worker_kernel, model)
-        scaler.install()
+        scenario = ScenarioBuilder(seed=seed).build()
         label = f"hotplug ({hotplug_kernel})"
-        reconfigs = lambda: scaler.reconfigurations
+        scaler = install_hotplug_scaler(scenario, seed, hotplug_kernel)
     elif variant == "vscale":
         scenario = ScenarioBuilder(seed=seed).with_config(Config.VSCALE).build()
-        label = "vScale balancer"
-        reconfigs = lambda: scenario.daemon.reconfigurations if scenario.daemon else 0
+        label, scaler = "vScale balancer", scenario.daemon
     else:
         raise ValueError(f"unknown mechanism variant {variant!r}")
-    scenario.start()
-    scenario.run(WARMUP_NS)
-    duration, wait = _run_app(scenario, app_name, seed, work_scale)
-    return AblationPoint(label, duration, wait, reconfigs())
+    return _measure(scenario, label, scaler, app_name, seed, work_scale)
 
 
 def run_mechanism_ablation(
     app_name: str = "cg",
-    hotplug_kernel: str = "v3.14.15",
+    hotplug_kernel: str = HOTPLUG_KERNEL,
     seed: int = 3,
     work_scale: float = 0.5,
     executor: ParallelExecutor | None = None,
@@ -142,25 +128,16 @@ def _policy_point(
     variant: str, app_name: str, seed: int, work_scale: float
 ) -> AblationPoint:
     """One policy variant: ``vscale`` / ``vcpubal``."""
-    seeds = SeedSequenceFactory(seed)
     if variant == "vscale":
         scenario = ScenarioBuilder(seed=seed).with_config(Config.VSCALE).build()
-        label = "vScale (consumption-aware)"
-        reconfigs = lambda: scenario.daemon.reconfigurations if scenario.daemon else 0
+        label, scaler = "vScale (consumption-aware)", scenario.daemon
     elif variant == "vcpubal":
-        scenario = ScenarioBuilder(seed=seed).with_config(Config.VANILLA).build()
-        dom0 = Dom0Toolstack(seeds.generator("dom0"), load=Dom0Load.IDLE)
-        model = HotplugModel("v3.14.15", seeds.generator("hp"))
-        manager = VCPUBalManager(scenario.worker_kernel, dom0, model)
-        manager.install()
+        scenario = ScenarioBuilder(seed=seed).build()
         label = "VCPU-Bal (weight-only, dom0)"
-        reconfigs = lambda: manager.reconfigurations
+        scaler = install_vcpubal(scenario, seed)
     else:
         raise ValueError(f"unknown policy variant {variant!r}")
-    scenario.start()
-    scenario.run(WARMUP_NS)
-    duration, wait = _run_app(scenario, app_name, seed, work_scale)
-    return AblationPoint(label, duration, wait, reconfigs())
+    return _measure(scenario, label, scaler, app_name, seed, work_scale)
 
 
 def run_policy_ablation(
@@ -192,15 +169,7 @@ def _rounding_point(
     builder = ScenarioBuilder(seed=seed).with_config(Config.VSCALE)
     builder.daemon_config = DaemonConfig(round_mode=mode)
     scenario = builder.build()
-    scenario.start()
-    scenario.run(WARMUP_NS)
-    duration, wait = _run_app(scenario, app_name, seed, work_scale)
-    return AblationPoint(
-        f"round={mode}",
-        duration,
-        wait,
-        scenario.daemon.reconfigurations if scenario.daemon else 0,
-    )
+    return _measure(scenario, f"round={mode}", scenario.daemon, app_name, seed, work_scale)
 
 
 def run_rounding_ablation(
@@ -232,14 +201,8 @@ def _period_point(
     builder = ScenarioBuilder(seed=seed).with_config(Config.VSCALE)
     builder.daemon_config = DaemonConfig(period_ns=period_ms * MS)
     scenario = builder.build()
-    scenario.start()
-    scenario.run(WARMUP_NS)
-    duration, wait = _run_app(scenario, app_name, seed, work_scale)
-    return AblationPoint(
-        f"period={period_ms}ms",
-        duration,
-        wait,
-        scenario.daemon.reconfigurations if scenario.daemon else 0,
+    return _measure(
+        scenario, f"period={period_ms}ms", scenario.daemon, app_name, seed, work_scale
     )
 
 

@@ -20,22 +20,20 @@ crash-stop fault has a bounded, explicit recovery path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.daemon import DaemonConfig
-from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
+from repro.experiments.npb_common import npb_app
+from repro.experiments.setups import WARMUP_NS, Config, ScenarioBuilder, install_vcpubal, run_app
 from repro.faults.chaos import generate_plan
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
-from repro.sim.rng import SeedSequenceFactory
 from repro.units import SEC
-from repro.workloads.npb import NPBApp, NPB_PROFILES
 from repro.workloads.openmp import SPINCOUNT_DEFAULT
 
 #: The fault profiles of the grid, in report order.
 PROFILES = ("none", "crash", "hang", "mixed", "outage")
 DEFAULT_APP = "cg"
-WARMUP_NS = 2 * SEC
 #: App-phase window the scripted fault instants are spread over at full
 #: work scale; shrunk with ``work_scale`` so faults still land inside
 #: scaled-down runs.
@@ -93,74 +91,29 @@ def run_chaos_cell(
     runs VANILLA with the centralized VCPU-Bal manager, whose degraded
     mode the outage exercises.
     """
-    if app_name not in NPB_PROFILES:
-        raise KeyError(f"unknown NPB app {app_name!r}")
-    if profile not in PROFILES:
-        raise ValueError(f"unknown chaos profile {profile!r}")
-    seeds = SeedSequenceFactory(seed)
-    plan = _build_plan(profile, chaos_seed, work_scale)
-
-    manager = None
+    builder = (
+        ScenarioBuilder(seed=seed, pcpus=8)
+        .with_worker_vm(4)
+        .with_scheduler(scheduler)
+        .with_faults(_build_plan(profile, chaos_seed, work_scale))
+    )
     if profile == "outage":
-        from repro.core.baselines import VCPUBalManager
-        from repro.guest.hotplug import HotplugModel
-        from repro.hypervisor.dom0 import Dom0Load, Dom0Toolstack
-
-        scenario = (
-            ScenarioBuilder(seed=seed, pcpus=8)
-            .with_worker_vm(4)
-            .with_config(Config.VANILLA)
-            .with_scheduler(scheduler)
-            .with_faults(plan)
-            .build()
-        )
-        dom0 = Dom0Toolstack(seeds.generator("dom0"), load=Dom0Load.IDLE)
-        model = HotplugModel("v3.14.15", seeds.generator("hp"))
-        manager = VCPUBalManager(scenario.worker_kernel, dom0, model)
-        manager.install()
+        scenario = builder.build()
+        install_vcpubal(scenario, seed)
     else:
-        builder = (
-            ScenarioBuilder(seed=seed, pcpus=8)
-            .with_worker_vm(4)
-            .with_config(Config.VSCALE)
-            .with_scheduler(scheduler)
-            .with_faults(plan)
-            .with_watchdog(profile in ("hang", "mixed"))
-        )
+        builder.with_config(Config.VSCALE).with_watchdog(profile in ("hang", "mixed"))
         builder.daemon_config = DaemonConfig.crash_hardened()
         scenario = builder.build()
-
-    machine = scenario.machine
-    scenario.start()
-    scenario.run(WARMUP_NS)
-
-    npb_profile = NPB_PROFILES[app_name]
-    if work_scale != 1.0:
-        npb_profile = replace(
-            npb_profile, iterations=max(2, round(npb_profile.iterations * work_scale))
-        )
-    domain = scenario.worker_domain
-    wait0 = domain.total_wait_ns(machine.sim.now)
-    app = NPBApp(
-        scenario.worker_kernel,
-        npb_profile,
-        SPINCOUNT_DEFAULT,
-        seeds.stream("npb", "normal"),
-        kernel_lock=scenario.worker_kernel_lock,
-    )
-    app.launch()
-    duration = run_until_done(scenario, app)
-    wait = domain.total_wait_ns(machine.sim.now) - wait0
+    run = run_app(scenario, npb_app(scenario, app_name, SPINCOUNT_DEFAULT, seed, work_scale))
 
     stats = scenario.daemon.stats if scenario.daemon is not None else None
+    faults = scenario.machine.faults
     return ChaosCell(
         profile=profile,
         app=app_name,
-        duration_ns=duration,
-        wait_ns=wait,
-        recovery=(
-            machine.faults.recovery.to_dict() if machine.faults is not None else {}
-        ),
+        duration_ns=run.duration_ns,
+        wait_ns=run.wait_ns,
+        recovery=faults.recovery.to_dict() if faults is not None else {},
         daemon=stats.to_dict() if stats else {},
     )
 

@@ -17,18 +17,14 @@ explicit degradation path (see DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.core.baselines import HotplugScaler
 from repro.core.daemon import DaemonConfig
-from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
+from repro.experiments.npb_common import npb_app
+from repro.experiments.setups import Config, ScenarioBuilder, install_hotplug_scaler, run_app
 from repro.faults import FaultConfig, FaultPlan
-from repro.guest.hotplug import HotplugModel
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
-from repro.sim.rng import SeedSequenceFactory
-from repro.units import SEC
-from repro.workloads.npb import NPBApp, NPB_PROFILES
 from repro.workloads.openmp import SPINCOUNT_DEFAULT
 
 #: Uniform per-site fault rates of the matrix (0.0 is the baseline row).
@@ -37,8 +33,6 @@ FAULT_RATES = (0.0, 0.02, 0.05, 0.1)
 MECHANISMS = ("vscale", "hotplug")
 #: One synchronization-heavy app and one insensitive app by default.
 DEFAULT_APPS = ("cg", "ep")
-
-WARMUP_NS = 2 * SEC
 #: Seed of the fault plan itself — independent of the workload seed so
 #: the same fault schedule can be replayed against different scenarios.
 FAULT_SEED = 11
@@ -86,83 +80,35 @@ def run_matrix_cell(
     registry name (``None`` keeps the default) — fault injection routes
     through the scheduler interface, so any registered scheduler works.
     """
-    if app_name not in NPB_PROFILES:
-        raise KeyError(f"unknown NPB app {app_name!r}")
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    seeds = SeedSequenceFactory(seed)
-    plan = FaultPlan(FaultConfig.scaled(rate), seed=fault_seed)
-
-    if mechanism == "vscale":
-        builder = (
-            ScenarioBuilder(seed=seed, pcpus=8)
-            .with_worker_vm(4)
-            .with_config(Config.VSCALE)
-            .with_scheduler(scheduler)
-            .with_faults(plan)
-        )
-        builder.daemon_config = DaemonConfig.hardened()
-        scenario = builder.build()
-        scaler = None
-    else:
-        scenario = (
-            ScenarioBuilder(seed=seed, pcpus=8)
-            .with_worker_vm(4)
-            .with_config(Config.VANILLA)
-            .with_scheduler(scheduler)
-            .with_faults(plan)
-            .build()
-        )
-        model = HotplugModel("v3.14.15", seeds.generator("hp"))
-        scaler = HotplugScaler(scenario.worker_kernel, model)
-        scaler.install()
-
-    scenario.start()
-    scenario.run(WARMUP_NS)
-
-    profile = NPB_PROFILES[app_name]
-    if work_scale != 1.0:
-        profile = replace(
-            profile, iterations=max(2, round(profile.iterations * work_scale))
-        )
-    domain = scenario.worker_domain
-    machine = scenario.machine
-    wait0 = domain.total_wait_ns(machine.sim.now)
-    app = NPBApp(
-        scenario.worker_kernel,
-        profile,
-        SPINCOUNT_DEFAULT,
-        seeds.stream("npb", "normal"),
-        kernel_lock=scenario.worker_kernel_lock,
+    builder = (
+        ScenarioBuilder(seed=seed, pcpus=8)
+        .with_worker_vm(4)
+        .with_scheduler(scheduler)
+        .with_faults(FaultPlan(FaultConfig.scaled(rate), seed=fault_seed))
     )
-    app.launch()
-    duration = run_until_done(scenario, app)
-    wait = domain.total_wait_ns(machine.sim.now) - wait0
+    if mechanism == "vscale":
+        builder.with_config(Config.VSCALE)
+        builder.daemon_config = DaemonConfig.hardened()
+    scenario = builder.build()
+    scaler = scenario.daemon or install_hotplug_scaler(scenario, seed)
+    run = run_app(scenario, npb_app(scenario, app_name, SPINCOUNT_DEFAULT, seed, work_scale))
 
-    daemon = scenario.daemon
-    stats = daemon.stats if daemon is not None else None
+    stats = scenario.daemon.stats if scenario.daemon is not None else None
+    faults = scenario.machine.faults
     return FaultCell(
         app=app_name,
         mechanism=mechanism,
         rate=rate,
-        duration_ns=duration,
-        wait_ns=wait,
-        reconfigurations=(
-            daemon.reconfigurations if daemon is not None
-            else scaler.reconfigurations if scaler is not None
-            else 0
-        ),
+        duration_ns=run.duration_ns,
+        wait_ns=run.wait_ns,
+        reconfigurations=scaler.reconfigurations,
         direction_flaps=stats.direction_flaps if stats else 0,
         flaps_suppressed=stats.flaps_suppressed if stats else 0,
         stale_holds=stats.stale_holds if stats else 0,
-        read_failures=(
-            stats.read_failures if stats
-            else scaler.read_failures if scaler is not None
-            else 0
-        ),
-        injected=(
-            machine.faults.stats.to_dict() if machine.faults is not None else {}
-        ),
+        read_failures=stats.read_failures if stats else scaler.read_failures,
+        injected=faults.stats.to_dict() if faults is not None else {},
         daemon=stats.to_dict() if stats else {},
     )
 

@@ -11,16 +11,13 @@ barely move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.experiments.setups import ALL_CONFIGS, Config, ScenarioBuilder, run_until_done
+from repro.experiments.setups import ALL_CONFIGS, Config, ScenarioBuilder, run_app
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 from repro.sim.rng import SeedSequenceFactory
-from repro.units import SEC
 from repro.workloads.parsec import PARSEC_PROFILES, ParsecApp
-
-WARMUP_NS = 2 * SEC
 
 #: Apps the paper highlights as clear winners / as marginal.
 COMM_DRIVEN = ("dedup", "bodytrack", "streamcluster", "vips")
@@ -76,48 +73,37 @@ def run_cell(
 ) -> ParsecCell:
     if app_name not in PARSEC_PROFILES:
         raise KeyError(f"unknown PARSEC app {app_name!r}")
-    # Same pool sizing rule as the NPB harness: the 8-vCPU VM runs on the
-    # 16-logical-CPU host so its relative weight share matches the paper.
-    pcpus = 16 if vcpus >= 8 else 8
-    builder = (
-        ScenarioBuilder(seed=seed, pcpus=pcpus)
-        .with_worker_vm(vcpus)
-        .with_config(config)
-    )
-    scenario = builder.build()
-    scenario.start()
-    scenario.run(WARMUP_NS)
-
     profile = PARSEC_PROFILES[app_name]
     if work_scale != 1.0:
-        from dataclasses import replace
-
         if profile.kind == "pipeline":
             profile = replace(profile, items=max(4, round(profile.items * work_scale)))
         else:
             profile = replace(
                 profile, iterations=max(1, round(profile.iterations * work_scale))
             )
-
-    seeds = SeedSequenceFactory(seed)
-    domain = scenario.worker_domain
-    ipi0 = sum(int(v.ipi_received) for v in domain.vcpus)
+    # Same pool sizing rule as the NPB harness: the 8-vCPU VM runs on the
+    # 16-logical-CPU host so its relative weight share matches the paper.
+    pcpus = 16 if vcpus >= 8 else 8
+    scenario = (
+        ScenarioBuilder(seed=seed, pcpus=pcpus)
+        .with_worker_vm(vcpus)
+        .with_config(config)
+        .build()
+    )
     # The kernel lock exists in every configuration (pv_spinlock only
     # changes the waiting strategy on it).
     app = ParsecApp(
         scenario.worker_kernel,
         profile,
-        seeds.stream("parsec", "normal"),
+        SeedSequenceFactory(seed).stream("parsec", "normal"),
         kernel_lock=scenario.worker_kernel_lock,
     )
-    app.launch()
-    duration = run_until_done(scenario, app)
-    ipis = sum(int(v.ipi_received) for v in domain.vcpus) - ipi0
+    run = run_app(scenario, app)
     return ParsecCell(
         app=app_name,
         config=config,
-        duration_ns=duration,
-        ipi_rate_per_vcpu=ipis / len(domain.vcpus) * 1e9 / duration,
+        duration_ns=run.duration_ns,
+        ipi_rate_per_vcpu=run.ipi_rate_per_vcpu,
     )
 
 

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.setups import ALL_CONFIGS, Config, ScenarioBuilder
+from repro.experiments.setups import ALL_CONFIGS, WARMUP_NS, Config, ScenarioBuilder
 from repro.metrics.report import Table
 from repro.sim.rng import SeedSequenceFactory
 from repro.units import SEC
 from repro.workloads.apache import ApacheServer, HttperfClient, HttperfResult
-
-WARMUP_NS = 2 * SEC
 
 #: Request rates on the paper's x axis (per second).
 DEFAULT_RATES = [1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000]

@@ -16,19 +16,16 @@ over vanilla on the same scheduler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
+from repro.experiments.npb_common import npb_app
+from repro.experiments.setups import Config, ScenarioBuilder, run_app
 from repro.hypervisor.schedulers import available
 from repro.metrics.report import Table
 from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
 from repro.sanitize import InvariantViolation
-from repro.sim.rng import SeedSequenceFactory
-from repro.units import SEC
-from repro.workloads.npb import NPBApp, NPB_PROFILES
 from repro.workloads.openmp import SPINCOUNT_DEFAULT
 
-WARMUP_NS = 2 * SEC
 #: The compared configurations: stock host vs. the vScale control loop.
 CONFIGS = (Config.VANILLA, Config.VSCALE)
 #: A synchronization-heavy app — the case where scaling decisions matter.
@@ -68,8 +65,6 @@ def run_cell(
     as ``holds=False`` rather than propagated, so the grid always
     renders a complete yes/no table.
     """
-    if app_name not in NPB_PROFILES:
-        raise KeyError(f"unknown NPB app {app_name!r}")
     scenario = (
         ScenarioBuilder(seed=seed, pcpus=8)
         .with_worker_vm(4)
@@ -77,35 +72,16 @@ def run_cell(
         .with_scheduler(scheduler)
         .build()
     )
-    machine = scenario.machine
-    sanitizer = machine.install_sanitizer()
-
-    profile = NPB_PROFILES[app_name]
-    if work_scale != 1.0:
-        profile = replace(
-            profile, iterations=max(2, round(profile.iterations * work_scale))
-        )
-    seeds = SeedSequenceFactory(seed)
-    app = NPBApp(
-        scenario.worker_kernel,
-        profile,
-        SPINCOUNT_DEFAULT,
-        seeds.stream("npb", "normal"),
-        kernel_lock=scenario.worker_kernel_lock,
-    )
-
+    sanitizer = scenario.machine.install_sanitizer()
+    app = npb_app(scenario, app_name, SPINCOUNT_DEFAULT, seed, work_scale)
     holds = True
     violation = ""
-    duration = 0
     try:
-        scenario.start()
-        scenario.run(WARMUP_NS)
-        app.launch()
-        duration = run_until_done(scenario, app)
+        duration = run_app(scenario, app).duration_ns
     except InvariantViolation as exc:
         holds = False
         violation = str(exc)
-        duration = app.duration_ns if app.done else machine.sim.now
+        duration = app.duration_ns if app.done else scenario.machine.sim.now
 
     daemon = scenario.daemon
     return GeneralityCell(

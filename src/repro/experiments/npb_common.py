@@ -1,23 +1,27 @@
 """Shared runner for the NPB experiments (Figures 6, 7, 9 and 10).
 
 One *cell* of the NPB matrix = (application, vCPU count, GOMP_SPINCOUNT,
-configuration).  The runner builds the consolidated scenario, warms the
-background VMs, launches the app with the provisioned thread count, and
-returns the measurements every NPB figure needs: duration, worker waiting
-time over the app window, and the per-vCPU IPI rate.
+configuration).  The runner builds the consolidated scenario, launches
+the app with the provisioned thread count through
+:func:`~repro.experiments.setups.run_app`, and returns the measurements
+every NPB figure needs: duration, worker waiting time over the app
+window, and the per-vCPU IPI rate.  :func:`npb_app` builds the app for
+every other NPB cell body too (ablations, faults, chaos, generality).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.experiments.setups import Config, ScenarioBuilder, run_until_done
+from repro.experiments.setups import (  # noqa: F401  (WARMUP_NS: re-exported)
+    WARMUP_NS,
+    Config,
+    Scenario,
+    ScenarioBuilder,
+    run_app,
+)
 from repro.sim.rng import SeedSequenceFactory
-from repro.units import SEC
 from repro.workloads.npb import NPBApp, NPB_PROFILES
-
-#: Background warm-up before the application launches.
-WARMUP_NS = 2 * SEC
 
 
 @dataclass
@@ -33,6 +37,31 @@ class NPBCell:
     ipi_rate_per_vcpu: float
     #: Trace of (time_ns, online_vcpus) from the daemon, when present.
     vcpu_trace: list
+
+
+def npb_app(
+    scenario: Scenario, app_name: str, spincount: int, seed: int, work_scale: float = 1.0
+) -> NPBApp:
+    """NPB ``app_name`` on the worker guest, its iterations scaled by
+    ``work_scale`` (at least 2).
+
+    The futex-bucket kernel lock exists in every configuration; the
+    pv_spinlock guest option only changes how waiters behave on it.
+    """
+    if app_name not in NPB_PROFILES:
+        raise KeyError(f"unknown NPB app {app_name!r}")
+    profile = NPB_PROFILES[app_name]
+    if work_scale != 1.0:
+        profile = replace(
+            profile, iterations=max(2, round(profile.iterations * work_scale))
+        )
+    return NPBApp(
+        scenario.worker_kernel,
+        profile,
+        spincount,
+        SeedSequenceFactory(seed).stream("npb", "normal"),
+        kernel_lock=scenario.worker_kernel_lock,
+    )
 
 
 def run_cell(
@@ -56,8 +85,6 @@ def run_cell(
     ``scheduler`` selects the pool scheduler by registry name (see
     :mod:`repro.hypervisor.schedulers`); ``None`` keeps the default.
     """
-    if app_name not in NPB_PROFILES:
-        raise KeyError(f"unknown NPB app {app_name!r}")
     if pcpus is None:
         pcpus = 16 if vcpus >= 8 else 8
     builder = (
@@ -66,53 +93,17 @@ def run_cell(
         .with_config(config)
         .with_scheduler(scheduler)
     )
-    if daemon_config is not None:
-        builder.daemon_config = daemon_config
+    builder.daemon_config = daemon_config
     scenario = builder.build()
-    scenario.start()
-    scenario.run(WARMUP_NS)
-
-    profile = NPB_PROFILES[app_name]
-    if work_scale != 1.0:
-        from dataclasses import replace
-
-        profile = replace(
-            profile, iterations=max(2, round(profile.iterations * work_scale))
-        )
-
-    seeds = SeedSequenceFactory(seed)
-    domain = scenario.worker_domain
-    machine = scenario.machine
-    wait0 = domain.total_wait_ns(machine.sim.now)
-    run0 = domain.total_run_ns(machine.sim.now)
-    ipi0 = sum(int(v.ipi_received) for v in domain.vcpus)
-
-    # The futex-bucket kernel lock exists in every configuration; the
-    # pv_spinlock guest option only changes how waiters behave on it.
-    app = NPBApp(
-        scenario.worker_kernel,
-        profile,
-        spincount,
-        seeds.stream("npb", "normal"),
-        kernel_lock=scenario.worker_kernel_lock,
-    )
-    app.launch()
-    duration = run_until_done(scenario, app)
-
-    now = machine.sim.now
-    wait = domain.total_wait_ns(now) - wait0
-    used = domain.total_run_ns(now) - run0
-    ipis = sum(int(v.ipi_received) for v in domain.vcpus) - ipi0
-    ipi_rate = ipis / len(domain.vcpus) * 1e9 / duration
-    trace = scenario.daemon.vcpu_trace() if scenario.daemon else []
+    run = run_app(scenario, npb_app(scenario, app_name, spincount, seed, work_scale))
     return NPBCell(
         app=app_name,
         vcpus=vcpus,
         spincount=spincount,
         config=config,
-        duration_ns=duration,
-        wait_ns=wait,
-        cpu_used_ns=used,
-        ipi_rate_per_vcpu=ipi_rate,
-        vcpu_trace=trace,
+        duration_ns=run.duration_ns,
+        wait_ns=run.wait_ns,
+        cpu_used_ns=run.run_ns,
+        ipi_rate_per_vcpu=run.ipi_rate_per_vcpu,
+        vcpu_trace=scenario.daemon.vcpu_trace() if scenario.daemon else [],
     )

@@ -9,6 +9,12 @@ is treated equally by the hypervisor, compared across four configurations:
 * ``PVLOCK``         — stock + paravirtual spinlocks in the guest;
 * ``VSCALE``         — vScale daemon + balancer + scheduler extension;
 * ``VSCALE_PVLOCK``  — both.
+
+Every application cell measures the same way, through :func:`run_app`:
+warm the host up for :data:`WARMUP_NS`, launch the app on the worker VM,
+run it to completion, and read the worker's counters over the app's
+window only.  The baselines the paper compares against are wired on by
+:func:`install_hotplug_scaler` and :func:`install_vcpubal`.
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.core.baselines import HotplugScaler, VCPUBalManager
 from repro.core.daemon import DaemonConfig, VScaleDaemon
 from repro.faults import FaultPlan
+from repro.guest.hotplug import HotplugModel
 from repro.guest.kernel import GuestConfig, GuestKernel
 from repro.guest.sync import KernelSpinLock
 from repro.hypervisor.config import HostConfig
@@ -26,7 +34,7 @@ from repro.hypervisor.machine import Machine
 from repro.recovery.watchdog import HangWatchdog
 from repro.sim.rng import SeedSequenceFactory
 from repro.units import MS, SEC
-from repro.workloads.desktop import PhotoSlideshow, SlideshowConfig
+from repro.workloads.desktop import PhotoSlideshow
 
 
 class Config(enum.Enum):
@@ -50,6 +58,10 @@ ALL_CONFIGS = [Config.VANILLA, Config.VSCALE, Config.PVLOCK, Config.VSCALE_PVLOC
 
 #: The paper's consolidation ratio: average vCPUs per pCPU, worker included.
 CONSOLIDATION = 2.0
+#: Background warm-up before the application launches.
+WARMUP_NS = 2 * SEC
+#: The Linux version whose CPU-hotplug latencies the baselines pay.
+HOTPLUG_KERNEL = "v3.14.15"
 
 
 @dataclass
@@ -87,7 +99,6 @@ class ScenarioBuilder:
         self.background_vms: int | None = None
         self.config = Config.VANILLA
         self.daemon_config: DaemonConfig | None = None
-        self.slideshow_config: SlideshowConfig | None = None
         self.fault_plan: FaultPlan | None = None
         self.install_watchdog = False
 
@@ -148,11 +159,7 @@ class ScenarioBuilder:
                 f"desktop{index}", vcpus=2, weight=128 * 2
             )
             bg_kernel = GuestKernel(bg_domain)
-            slideshow = PhotoSlideshow(
-                bg_kernel,
-                rng=seeds.generator(f"slideshow.{index}"),
-                config=self.slideshow_config,
-            )
+            slideshow = PhotoSlideshow(bg_kernel, rng=seeds.generator(f"slideshow.{index}"))
             slideshow.install()
             background.append(slideshow)
 
@@ -194,3 +201,70 @@ def run_until_done(scenario: Scenario, app, timeout_ns: int = 120 * SEC, step_ns
             )
         machine.run(until=min(deadline, machine.sim.now + step_ns))
     return app.duration_ns
+
+
+@dataclass
+class AppRun:
+    """The worker VM's measurements over one application window."""
+
+    duration_ns: int
+    #: Time the worker's vCPUs sat runnable but not running (Figure 9).
+    wait_ns: int
+    #: Time the worker's vCPUs ran.
+    run_ns: int
+    #: Reschedule IPIs received per vCPU per second (Figures 10 and 13).
+    ipi_rate_per_vcpu: float
+
+
+def _ipis(domain: Domain) -> int:
+    return sum(int(vcpu.ipi_received) for vcpu in domain.vcpus)
+
+
+def run_app(scenario: Scenario, app) -> AppRun:
+    """The application figures' measurement protocol, on a built scenario.
+
+    Starts the host, warms the background VMs up for :data:`WARMUP_NS`,
+    launches ``app`` (an NPB, PARSEC or other harness with ``launch``,
+    ``done`` and ``duration_ns``) and runs it to completion.  The worker's
+    wait, run and IPI counters cover the app's window only.
+    """
+    scenario.start()
+    scenario.run(WARMUP_NS)
+    domain = scenario.worker_domain
+    sim = scenario.machine.sim
+    wait0 = domain.total_wait_ns(sim.now)
+    run0 = domain.total_run_ns(sim.now)
+    ipi0 = _ipis(domain)
+    app.launch()
+    duration = run_until_done(scenario, app)
+    return AppRun(
+        duration_ns=duration,
+        wait_ns=domain.total_wait_ns(sim.now) - wait0,
+        run_ns=domain.total_run_ns(sim.now) - run0,
+        ipi_rate_per_vcpu=(_ipis(domain) - ipi0) / len(domain.vcpus) * 1e9 / duration,
+    )
+
+
+def install_hotplug_scaler(
+    scenario: Scenario, seed: int, kernel: str = HOTPLUG_KERNEL
+) -> HotplugScaler:
+    """Install vScale's policy with Linux CPU hotplug as the mechanism on
+    the worker guest (the mechanism ablation and the fault matrix)."""
+    model = HotplugModel(kernel, SeedSequenceFactory(seed).generator("hp"))
+    scaler = HotplugScaler(scenario.worker_kernel, model)
+    scaler.install()
+    return scaler
+
+
+def install_vcpubal(scenario: Scenario, seed: int) -> VCPUBalManager:
+    """Install VCPU-Bal, dom0's weight-only manager over CPU hotplug, on
+    the worker guest (the policy ablation and the chaos outage profile)."""
+    # Imported here: no NPB or Apache cell without VCPU-Bal loads dom0.
+    from repro.hypervisor.dom0 import Dom0Load, Dom0Toolstack
+
+    seeds = SeedSequenceFactory(seed)
+    dom0 = Dom0Toolstack(seeds.generator("dom0"), load=Dom0Load.IDLE)
+    model = HotplugModel(HOTPLUG_KERNEL, seeds.generator("hp"))
+    manager = VCPUBalManager(scenario.worker_kernel, dom0, model)
+    manager.install()
+    return manager

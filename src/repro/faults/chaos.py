@@ -5,10 +5,12 @@
 daemon crashes, vCPU hangs, balancer outages — spread over the middle of
 a run (the first/last 10% are left quiet so warmup and teardown are
 always clean).  The same ``(seed, knobs)`` pair always yields the same
-plan, and the plan round-trips through JSON for replay and bug reports.
+plan, and the plan round-trips through JSON.
 
-This module only *builds* plans; the chaos harness that drives them is
-``scripts/chaos.py`` and the ``chaos`` runner experiment.
+This module only *builds* plans; the ``chaos`` runner experiment drives
+them, and the directed tests in ``tests/recovery/test_recovery.py``
+assert each recovery protocol (crash restart, hang clear, outage
+re-sync).
 """
 
 from __future__ import annotations

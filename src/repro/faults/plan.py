@@ -17,7 +17,7 @@ parallel executor's worker processes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 from repro.units import MS, US
 
@@ -189,13 +189,10 @@ class FaultPlan:
         """True when the plan can inject anything at all."""
         return self.config.any_enabled or bool(self.events)
 
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
-
     # ------------------------------------------------------------------
-    # JSON round-trip — chaos schedules must be saveable for replay and
-    # bug reports, so a plan serializes to stable, sorted-key JSON and
-    # deserializes to an equal plan (events re-sort canonically).
+    # JSON round-trip — a plan serializes to stable, sorted-key JSON and
+    # deserializes to an equal plan (events re-sort canonically), so a
+    # failing schedule can be checked in next to the config that ran it.
     # ------------------------------------------------------------------
     def to_json(self) -> str:
         payload = {

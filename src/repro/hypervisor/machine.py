@@ -511,9 +511,3 @@ class Machine:
     def pool_idle_ns(self) -> int:
         now = self.sim.now
         return sum(pcpu.flush_idle(now) for pcpu in self.pool)
-
-    def find_domain(self, name: str) -> Domain:
-        for domain in self.domains:
-            if domain.name == name:
-                return domain
-        raise KeyError(name)

@@ -2,20 +2,12 @@
 
 import pytest
 
-from repro.core.baselines import FixedVCPUPolicy, HotplugScaler, VCPUBalManager, VCPUBalConfig
+from repro.core.baselines import HotplugScaler, VCPUBalManager
 from repro.guest.hotplug import HotplugModel
 from repro.hypervisor.dom0 import Dom0Load, Dom0Toolstack
 from repro.sim.rng import SeedSequenceFactory
-from repro.units import MS, SEC
+from repro.units import SEC
 from tests.conftest import StackBuilder, busy
-
-
-def test_fixed_policy_is_a_noop(single_guest):
-    builder, kernel = single_guest
-    FixedVCPUPolicy(kernel).install()
-    machine = builder.start()
-    machine.run(until=100 * MS)
-    assert kernel.online_vcpus == 2
 
 
 class TestVCPUBal:

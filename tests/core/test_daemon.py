@@ -58,9 +58,7 @@ class TestScaling:
         assert worker.online_vcpus == 4
 
     def test_vcpu0_always_online(self):
-        builder, worker, rival, daemon = build_contended(
-            DaemonConfig(min_vcpus=1)
-        )
+        builder, worker, rival, daemon = build_contended()
         for index in range(8):
             rival.spawn(busy(30 * SEC), f"r{index}")
         machine = builder.start()

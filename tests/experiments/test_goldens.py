@@ -61,12 +61,42 @@ def _chaos_cell():
     return chaos.run_chaos_cell("crash", seed=3, work_scale=0.05)
 
 
+def _generality_cell():
+    from repro.experiments import generality
+    from repro.experiments.setups import Config
+
+    return generality.run_cell("credit", Config.VSCALE, seed=3, work_scale=0.05)
+
+
+def _ablation_hotplug():
+    from repro.experiments import ablations
+
+    return ablations._mechanism_point("hotplug", "cg", "v3.14.15", seed=3, work_scale=0.05)
+
+
+def _ablation_vcpubal():
+    from repro.experiments import ablations
+
+    return ablations._policy_point("vcpubal", "cg", seed=3, work_scale=0.05)
+
+
+def _parsec_cell():
+    from repro.experiments import fig11_13
+    from repro.experiments.setups import Config
+
+    return fig11_13.run_cell("dedup", 4, Config.VSCALE, seed=3, work_scale=0.05)
+
+
 CASES = {
     "table1": _table1,
     "table3": _table3,
     "fig6_cell_cg_vscale": _fig6_cell,
     "faults_cell_cg_vscale": _faults_cell,
     "chaos_cell_crash": _chaos_cell,
+    "generality_cell_credit_vscale": _generality_cell,
+    "ablations_mechanism_hotplug": _ablation_hotplug,
+    "ablations_policy_vcpubal": _ablation_vcpubal,
+    "parsec_cell_dedup_vscale": _parsec_cell,
 }
 
 

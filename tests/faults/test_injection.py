@@ -1,5 +1,7 @@
 """Tests for the fault injector's decision logic and fault-site wiring."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.balancer import VScaleBalancer
@@ -50,7 +52,7 @@ class TestDeterminism:
 
     def test_different_seed_different_decisions(self):
         plan = FaultPlan(FaultConfig.scaled(0.3), seed=42)
-        assert drive(FaultInjector(plan)) != drive(FaultInjector(plan.with_seed(43)))
+        assert drive(FaultInjector(plan)) != drive(FaultInjector(replace(plan, seed=43)))
 
     def test_zero_plan_injects_nothing(self):
         injector = FaultInjector(NO_FAULTS)

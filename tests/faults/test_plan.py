@@ -1,5 +1,7 @@
 """Tests for FaultConfig / FaultEvent / FaultPlan validation and shape."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import NO_FAULTS, FaultConfig, FaultEvent, FaultPlan
@@ -86,6 +88,6 @@ class TestFaultPlan:
 
     def test_with_seed(self):
         plan = FaultPlan(FaultConfig.scaled(0.1), seed=1)
-        reseeded = plan.with_seed(2)
+        reseeded = replace(plan, seed=2)
         assert reseeded.seed == 2
         assert reseeded.config is plan.config

@@ -35,13 +35,6 @@ class TestSetup:
         with pytest.raises(RuntimeError):
             machine.start()
 
-    def test_find_domain(self, single_guest):
-        builder, kernel = single_guest
-        machine = builder.start()
-        assert machine.find_domain("vm") is kernel.domain
-        with pytest.raises(KeyError):
-            machine.find_domain("ghost")
-
 
 class TestIRQDelivery:
     def test_irq_to_running_vcpu_delivered_quickly(self, single_guest):

@@ -15,7 +15,7 @@ Each crash-stop fault class gets its protocol pinned:
 import pytest
 
 from repro.core.daemon import DaemonConfig
-from repro.experiments.setups import Config, ScenarioBuilder
+from repro.experiments.setups import Config, ScenarioBuilder, install_vcpubal
 from repro.faults import FaultEvent, FaultPlan, generate_plan
 from repro.units import MS, SEC
 
@@ -220,11 +220,6 @@ def test_hang_on_frozen_vcpu_waits_for_surface():
 # Balancer outage degradation
 # ----------------------------------------------------------------------
 def _vcpubal(plan, seed=9):
-    from repro.core.baselines import VCPUBalManager
-    from repro.guest.hotplug import HotplugModel
-    from repro.hypervisor.dom0 import Dom0Load, Dom0Toolstack
-    from repro.sim.rng import SeedSequenceFactory
-
     scenario = (
         ScenarioBuilder(seed=seed, pcpus=4)
         .with_worker_vm(4)
@@ -232,12 +227,7 @@ def _vcpubal(plan, seed=9):
         .with_faults(plan)
         .build()
     )
-    seeds = SeedSequenceFactory(seed)
-    dom0 = Dom0Toolstack(seeds.generator("dom0"), load=Dom0Load.IDLE)
-    model = HotplugModel("v3.14.15", seeds.generator("hp"))
-    manager = VCPUBalManager(scenario.worker_kernel, dom0, model)
-    manager.install()
-    return scenario, manager
+    return scenario, install_vcpubal(scenario, seed)
 
 
 def test_balancer_outage_degrades_then_resyncs():
