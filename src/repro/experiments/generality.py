@@ -42,7 +42,8 @@ class GeneralityCell:
     duration_ns: int
     #: Daemon rescaling operations (0 under vanilla).
     reconfigurations: int
-    #: How many times the sanitizer re-derived ``n_i = ceil(s_ext/t)``.
+    #: How many times the sanitizer re-derived ``n_i = ceil(s_ext/t)`` (0
+    #: under vanilla, which runs no Algorithm 1 pass).
     extendability_checks: int
     #: True when every invariant check passed for the whole run.
     holds: bool

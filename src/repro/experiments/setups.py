@@ -164,8 +164,12 @@ class ScenarioBuilder:
             background.append(slideshow)
 
         daemon = None
-        machine.install_vscale()
         if self.config.uses_vscale:
+            # Algorithm 1 is part of vScale's Xen patch, so stock cells run
+            # none of it.  A reader wired on later installs it itself
+            # (install_hotplug_scaler); a missed one fails loudly, since
+            # Machine.hyp_read_extendability raises without the extension.
+            machine.install_vscale()
             daemon = VScaleDaemon(worker_kernel, self.daemon_config)
             daemon.install()
         watchdog = None
@@ -249,7 +253,12 @@ def install_hotplug_scaler(
     scenario: Scenario, seed: int, kernel: str = HOTPLUG_KERNEL
 ) -> HotplugScaler:
     """Install vScale's policy with Linux CPU hotplug as the mechanism on
-    the worker guest (the mechanism ablation and the fault matrix)."""
+    the worker guest (the mechanism ablation and the fault matrix).
+
+    The scaler reads the extendability channel, so this also installs the
+    hypervisor's Algorithm 1 ticker (before ``start()``).
+    """
+    scenario.machine.install_vscale()
     model = HotplugModel(kernel, SeedSequenceFactory(seed).generator("hp"))
     scaler = HotplugScaler(scenario.worker_kernel, model)
     scaler.install()

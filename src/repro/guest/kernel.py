@@ -222,7 +222,7 @@ class GuestKernel:
         rq = self.runqueues[target]
         thread.vruntime = max(thread.vruntime, rq.min_vruntime)
         rq.enqueue(thread)
-        self._macro_refresh()  # the enqueue changed loads everywhere
+        self._macro_refresh_enqueued(target)
         sanitizer = self.machine.sanitizer
         if sanitizer is not None:
             sanitizer.check_thread_placement(self, thread, target)
@@ -409,6 +409,7 @@ class GuestKernel:
     def _action_done(self, i: int, thread: Thread, outcome: object) -> None:
         rq = self.runqueues[i]
         assert rq.current is thread
+        self._action_events[i] = None  # fired: nothing left to cancel
         self._account_progress(i, finished=True)
         thread.action = None
         thread.send_value = outcome
@@ -417,6 +418,7 @@ class GuestKernel:
     def _spin_timeout(self, i: int, thread: Thread, action: SpinWait) -> None:
         rq = self.runqueues[i]
         assert rq.current is thread
+        self._action_events[i] = None  # fired: nothing left to cancel
         self._account_progress(i, finished=True)
         action.waitable.remove_spinner(thread)
         action.budget_ns = 0
@@ -485,7 +487,7 @@ class GuestKernel:
             rq.enqueue(thread)
         rq.advance_min_vruntime()
         if to_ready:
-            self._macro_refresh()  # new steal candidate for siblings
+            self._macro_refresh_enqueued(i)
         else:
             self._macro_refresh_one(i)
 
@@ -507,7 +509,7 @@ class GuestKernel:
         thread.vruntime = max(thread.vruntime, floor)
         thread.state = _THREAD_READY
         rq.enqueue(thread)
-        self._macro_refresh()  # the enqueue changed loads everywhere
+        self._macro_refresh_enqueued(target)
         sanitizer = self.machine.sanitizer
         if sanitizer is not None:
             sanitizer.check_thread_placement(self, thread, target)
@@ -724,7 +726,9 @@ class GuestKernel:
         The proof obligation: between region open and the first mutation of
         any input read below, every elided tick's handler reduces to the
         counter bumps `_macro_fold` applies.  All inputs are guarded by
-        `_macro_refresh` calls at their mutation sites.
+        `_macro_refresh` calls at their mutation sites.  The load-and-steal
+        test below must stay the only read of a sibling's queue:
+        `_macro_refresh_enqueued` relies on it.
         """
         rq = self.runqueues[i]
         if (
@@ -800,10 +804,30 @@ class GuestKernel:
         — a kept-but-stale shorter horizon is safe: the real tick fires
         early, does nothing, and re-arms with the longer region.  Only
         mutations that can *shorten* another region's horizon (enqueues
-        raising a load, unpinning) need the global `_macro_refresh`.
+        raising a load, unpinning) need more: `_macro_refresh_enqueued`
+        for an enqueue, the global `_macro_refresh` otherwise.
         """
         if i in self._macro_active:
             self._macro_refresh_region(i)
+
+    def _macro_refresh_enqueued(self, j: int) -> None:
+        """Re-evaluate the open regions an enqueue onto rq ``j`` can move.
+
+        Call after the enqueue.  Region ``j`` itself always needs it (its
+        vCPU now has a ready thread).  Another region's horizon reads rq
+        ``j`` only through "load of three or more with a stealable
+        thread", which an enqueue can turn from false to true but never
+        back.  So when rq ``j`` fails that test now, it failed before, and
+        every other horizon stands; their folds are pure catch-up
+        arithmetic and wait for their next refresh or tick.
+        """
+        if not self._macro_active:
+            return
+        rq = self.runqueues[j]
+        if len(rq.ready) + (1 if rq.current is not None else 0) >= 3 and rq.steal_candidates():
+            self._macro_refresh()
+        elif j in self._macro_active:
+            self._macro_refresh_region(j)
 
     def _macro_refresh_region(self, i: int) -> None:
         self._macro_fold(i, self._macro_limit(i))

@@ -296,6 +296,7 @@ class Machine:
             self._do_reschedule(pcpu)
 
     def slice_expired(self, pcpu: PCPU) -> None:
+        pcpu._slice_event = None  # fired: nothing left to cancel
         self.request_reschedule(pcpu)
 
     # ------------------------------------------------------------------

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.experiments.setups import ALL_CONFIGS, Config, ScenarioBuilder, run_until_done
-from repro.units import MS, SEC
+from repro.experiments.setups import (
+    ALL_CONFIGS,
+    Config,
+    ScenarioBuilder,
+    install_hotplug_scaler,
+    run_until_done,
+)
+from repro.units import MS
 
 
 def test_consolidation_ratio_determines_background_count():
@@ -36,7 +42,22 @@ def test_configs_wire_up_correctly(config):
     scenario = ScenarioBuilder().with_worker_vm(4).with_config(config).build()
     assert (scenario.daemon is not None) == config.uses_vscale
     assert scenario.worker_kernel.config.pv_spinlock == config.uses_pvlock
-    assert scenario.machine.vscale is not None  # extension always present
+    # Algorithm 1 runs only where something reads it: the vScale daemon,
+    # or the hotplug scaler, which installs it itself.
+    assert (scenario.machine.vscale is not None) == config.uses_vscale
+    install_hotplug_scaler(scenario, seed=1)
+    assert scenario.machine.vscale is not None
+
+
+@pytest.mark.parametrize("config", [Config.VANILLA, Config.VSCALE])
+def test_algorithm1_ticks_only_in_vscale_cells(config):
+    scenario = ScenarioBuilder(seed=5).with_config(config).build()
+    fired = []
+    scenario.machine.sim.dispatch_trace = lambda sim, event: fired.append(event.fn.__qualname__)
+    scenario.start()
+    scenario.run(100 * MS)
+    ticks = fired.count("VScaleExtension._ticker")
+    assert ticks == (10 if config.uses_vscale else 0)
 
 
 def test_scenario_runs(single_run_budget=500 * MS):

@@ -3,7 +3,6 @@ freeze semantics, caps, ratelimit and work conservation."""
 
 import pytest
 
-from repro.hypervisor.config import HostConfig
 from repro.hypervisor.domain import Priority, VCPUState
 from repro.units import MS, SEC
 from tests.conftest import StackBuilder, busy

@@ -12,8 +12,6 @@ Each crash-stop fault class gets its protocol pinned:
   and explicitly re-syncs when the service returns.
 """
 
-import pytest
-
 from repro.core.daemon import DaemonConfig
 from repro.experiments.setups import Config, ScenarioBuilder, install_vcpubal
 from repro.faults import FaultEvent, FaultPlan, generate_plan
@@ -257,7 +255,6 @@ def test_naive_fallback_unfreezes_conservatively():
     kernel = scenario.worker_kernel
     scenario.start()
     scenario.run(250 * MS)
-    kernel.machine.vscale  # ensure extension installed (builder does)
     frozen_before = len(kernel.cpu_freeze_mask)
     scenario.run(900 * MS)
     recovery = scenario.machine.faults.recovery

@@ -23,8 +23,9 @@ of 16 pCPUs carry 14 desktop VMs beside the worker, so tick chains of
 many vCPUs share grid instants with each other and with hypervisor
 events — the same-instant collisions elision must order exactly.  The
 directed tests pin freeze edges, scripted daemon stalls, a balance that
-a sibling's block makes possible, and two benchmark-scale cells whose
-results elision once changed.
+a sibling's block makes possible, one that wakes onto a sibling make
+possible, and two benchmark-scale cells whose results elision once
+changed.
 """
 
 import functools
@@ -344,4 +345,57 @@ def test_balance_after_the_busiest_sibling_blocks():
     elided, elided_ticks = _busiest_sibling_blocks("elided")
     assert elided == per_tick
     assert per_tick["n0"][2:] == (0, 1), "n0 was never pulled (vacuous)"
+    assert elided_ticks < per_tick_ticks, "nothing elided (vacuous)"
+
+
+def _wakes_load_a_sibling(path) -> tuple[dict, int, bool]:
+    """Two vCPUs on four pCPUs; thread states at 100 ms on ``path``.
+
+    vCPU1 runs a lone pinned thread, so its ticks are elided, and with no
+    sibling to steal from its region's horizon is infinite.  vCPU0 runs a
+    pinned RT thread.  At 25 ms one timer wakes ``w1`` (unpinned, so
+    stealable) and then ``w2`` (pinned to vCPU0) onto vCPU0: the first
+    wake leaves it at load 2, the second at load 3.  Only then can
+    vCPU1's periodic balance act, and its next balance tick (30 ms) pulls
+    ``w1``.  Also returns whether vCPU1's region was open, with no tick
+    scheduled, just before the wakes.
+    """
+    with _tick_path(path) as fired:
+        builder = StackBuilder(pcpus=4, seed=1)
+        kernel = builder.guest("vm", vcpus=2)
+        go, wake = WaitQueue("go"), WaitQueue("wake")
+
+        def sleeper(waitqueue):
+            yield BlockOn(waitqueue)
+            yield Compute(SEC)
+
+        kernel.spawn(sleeper(go), "rt", rt=True, pinned_to=0)
+        kernel.spawn(busy(SEC), "lone", pinned_to=1)
+        kernel.spawn(sleeper(wake), "w1", pinned_to=0).pinned_to = None
+        kernel.spawn(sleeper(wake), "w2", pinned_to=0)
+        kernel.start_timer(1 * MS, go)
+        kernel.start_timer(25 * MS, wake)
+        machine = builder.start()
+        machine.run(until=24 * MS)
+        region_open = 1 in kernel._macro_active and kernel._tick_events[1] is None
+        machine.run(until=100 * MS)
+        kernel.sync_ticks()
+        threads = {
+            t.name: (t.vruntime, t.exec_ns, t.vcpu_index, t.migrations)
+            for t in kernel.threads
+        }
+        threads["ticks"] = [int(c) for c in kernel.timer_interrupts]
+    return threads, fired[0], region_open
+
+
+def test_wakes_that_load_a_sibling_move_an_open_region():
+    """An enqueue refreshes every open region only when its runqueue then
+    has a load of three and a stealable thread.  Here that is the second
+    wake: it must move vCPU1's infinite horizon to its next balance tick,
+    or vCPU1 pulls ``w1`` late (at 40 ms instead of 30 ms)."""
+    per_tick, per_tick_ticks, _ = _wakes_load_a_sibling("per-tick")
+    elided, elided_ticks, region_open = _wakes_load_a_sibling("elided")
+    assert elided == per_tick
+    assert region_open, "vCPU1 had no open region before the wakes (vacuous)"
+    assert per_tick["w1"][2:] == (1, 1), "w1 was never pulled (vacuous)"
     assert elided_ticks < per_tick_ticks, "nothing elided (vacuous)"

@@ -63,9 +63,6 @@ class TestAccountingInvariants:
                 SPINCOUNT_ACTIVE,
                 seeds.generator("npb"),
             )
-            from dataclasses import replace
-
-            app.profile = app.profile  # no-op; explicit for readability
             app.launch()
             durations.append(run_until_done(scenario, app))
         assert durations[0] == durations[1]
