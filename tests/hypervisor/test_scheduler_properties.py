@@ -2,7 +2,7 @@
 
 Every scheduler registered in :mod:`repro.hypervisor.schedulers` is run
 through the same properties: whatever the order of wakes, blocks,
-freezes, yields and time advances, the scheduler must keep its
+freezes, yields, tickles and time advances, the scheduler must keep its
 structural invariants; beyond that, the suite checks the behavioral
 contract the rest of the stack relies on — work conservation, frozen
 vCPUs never scheduled, weight-proportional allocation (for schedulers
@@ -71,9 +71,33 @@ def check_invariants(machine):
         assert sum(vcpu.timer.totals.values()) == machine.sim.now
 
 
+#: Every operation the hypervisor surface offers a scheduler test.
+OPS = ("wake", "block", "mark_freeze", "unfreeze", "yield", "tickle", "advance")
+
+
+def apply_op(machine, op, vcpu, advance_ms):
+    """Apply one operation, then drain the deferred reschedules."""
+    if op == "wake":
+        if vcpu.state is VCPUState.BLOCKED:
+            machine.hyp_wake(vcpu)
+    elif op == "block":
+        machine.scheduler.vcpu_block(vcpu)
+    elif op == "mark_freeze":
+        machine.hyp_mark_freeze(vcpu)
+    elif op == "unfreeze":
+        machine.hyp_unfreeze_vcpu(vcpu)
+    elif op == "yield":
+        machine.hyp_yield(vcpu)
+    elif op == "tickle":
+        machine.hyp_tickle_vcpu(vcpu)
+    elif op == "advance":
+        machine.run(until=machine.sim.now + advance_ms * MS)
+    machine.run(until=machine.sim.now + 1)
+
+
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["wake", "block", "mark_freeze", "unfreeze", "yield", "advance"]),
+        st.sampled_from(OPS),
         st.integers(min_value=0, max_value=3),  # vCPU selector
         st.integers(min_value=1, max_value=40),  # time advance in ms
     ),
@@ -89,22 +113,7 @@ def test_random_transitions_keep_invariants(scheduler, ops, seed):
     machine = build(scheduler, seed=seed)
     vcpus = all_vcpus(machine)
     for op, selector, advance_ms in ops:
-        vcpu = vcpus[selector % len(vcpus)]
-        if op == "wake":
-            if vcpu.state is VCPUState.BLOCKED:
-                machine.hyp_wake(vcpu)
-        elif op == "block":
-            machine.scheduler.vcpu_block(vcpu)
-        elif op == "mark_freeze":
-            machine.hyp_mark_freeze(vcpu)
-        elif op == "unfreeze":
-            machine.hyp_unfreeze_vcpu(vcpu)
-        elif op == "yield":
-            machine.hyp_yield(vcpu)
-        elif op == "advance":
-            machine.run(until=machine.sim.now + advance_ms * MS)
-        # Drain the deferred reschedules before checking.
-        machine.run(until=machine.sim.now + 1)
+        apply_op(machine, op, vcpus[selector % len(vcpus)], advance_ms)
         check_invariants(machine)
 
 
