@@ -12,10 +12,18 @@ here and is selected by name through a registry:
   runqueues ordered by credit, weight-scaled burn, global credit reset;
 * :mod:`repro.hypervisor.schedulers.cfs`      — CFS-style weight/vruntime
   scheduler with per-pCPU queues and idle stealing;
-* :mod:`repro.hypervisor.schedulers.vrt`      — the original global-queue
-  virtual-runtime scheduler (BVT/Credit2-class);
+* :mod:`repro.hypervisor.schedulers.vrt`      — a virtual-runtime
+  scheduler over one pool-wide queue (BVT/Credit2-class);
 * :mod:`repro.hypervisor.schedulers.rr`       — a plain round-robin
   baseline (no weights), the control group of the generality grid.
+
+Every zoo member but ``credit`` is a :class:`QueueScheduler`: the vCPU
+state machine the freeze protocol depends on (wake, block, freeze,
+unfreeze, yield, tickle, dispatch, tick) is written once, here, and a
+zoo member supplies only its policy hooks on one of two queue layouts,
+:class:`PerPcpuQueueScheduler` (``credit2``, ``cfs``) or
+:class:`PoolQueueScheduler` (``vrt``, ``rr``).  ``credit`` keeps its own
+inlined paths: it is the scheduler every benchmark measures.
 
 Selection order: an explicit name (``HostConfig(scheduler="cfs")`` or the
 runner's ``--scheduler`` flag) always wins; when no name is given, the
@@ -197,9 +205,9 @@ class QueueScheduler(Scheduler):
     """Template for queue-based schedulers (everything but csched).
 
     Implements the full state machine — wake, block (which completes a
-    pending freeze), unfreeze, yield, running-interval bookkeeping, the
-    periodic tick with idle rescue — against five primitive hooks
-    subclasses provide:
+    pending freeze), unfreeze, yield, tickle, running-interval
+    bookkeeping, the periodic tick with idle rescue — against five
+    primitive hooks subclasses provide:
 
     * ``_enqueue(vcpu)``          — admit a runnable vCPU to its queue;
     * ``_dequeue(vcpu)``          — remove it from whichever queue holds it;
@@ -210,10 +218,13 @@ class QueueScheduler(Scheduler):
     * ``_charge(vcpu, elapsed)``  — per-policy accounting for a finished
       running interval (must call :meth:`charge_domain`).
 
+    The two queue layouts below supply ``_enqueue`` and ``_dequeue``.
     Optional hooks: ``_slice_ns(pcpu, vcpu)`` (quantum, defaults to the
     host timeslice), ``_on_frozen(vcpu)`` (surrender policy state),
-    ``_wake_preempt(vcpu)`` (placement/preemption after enqueue; the
-    default kicks the first idle pCPU).
+    ``_on_yield(vcpu)`` (yield penalty), ``_on_tickle(vcpu)`` (expedite a
+    reconfiguration IPI; defaults to ``_on_wake``), ``_wake_preempt(vcpu)``
+    (placement/preemption after enqueue; the default kicks the first idle
+    pCPU) and ``_tick_policy()`` (periodic preemption or credit work).
     """
 
     def __init__(self, machine: "Machine"):
@@ -241,6 +252,9 @@ class QueueScheduler(Scheduler):
 
     def _on_frozen(self, vcpu: VCPU) -> None:
         """Surrender per-policy state when a vCPU freezes."""
+
+    def _on_yield(self, vcpu: VCPU) -> None:
+        """Per-policy bookkeeping before a yielding vCPU is requeued."""
 
     def _wake_preempt(self, vcpu: VCPU) -> None:
         """Trigger dispatch after a wake: kick the first idle pCPU."""
@@ -301,6 +315,7 @@ class QueueScheduler(Scheduler):
         pcpu = vcpu.pcpu
         self._stop_running(vcpu)
         vcpu.set_state(VCPUState.RUNNABLE, self.sim.now)
+        self._on_yield(vcpu)
         self._admit(vcpu)
         self.machine.request_reschedule(pcpu)
 
@@ -377,6 +392,91 @@ class QueueScheduler(Scheduler):
 
     def _tick_policy(self) -> None:
         """Per-policy periodic work (preempting laggards, credit reset)."""
+
+    # -- weights ---------------------------------------------------------
+    def _effective_weight(self, vcpu: VCPU) -> float:
+        """Per-VM weight split across the domain's active vCPUs (the
+        paper's weight model), or the raw domain weight without it."""
+        domain = vcpu.domain
+        if self.config.per_vm_weight:
+            return domain.weight / max(1, len(domain.active_vcpus()))
+        return float(domain.weight)
+
+
+class PerPcpuQueueScheduler(QueueScheduler):
+    """Queue layout with one runqueue per pCPU (``credit2``, ``cfs``).
+
+    A vCPU queues on its home pCPU: the one it last ran or queued on, or
+    else the shortest queue.  Whether a pCPU may take a peer queue's
+    waiter is the subclass's ``_pick``.
+    """
+
+    def __init__(self, machine: "Machine"):
+        super().__init__(machine)
+        #: Per-pCPU queues of runnable vCPUs not on a pCPU.
+        self.queues: dict["PCPU", list[VCPU]] = {pcpu: [] for pcpu in machine.pool}
+
+    def _home(self, vcpu: VCPU) -> "PCPU":
+        if vcpu.last_pcpu is not None:
+            return vcpu.last_pcpu
+        return min(self.machine.pool, key=lambda p: (len(self.queues[p]), p.index))
+
+    def _enqueue(self, vcpu: VCPU) -> None:
+        home = self._home(vcpu)
+        self.queues[home].append(vcpu)
+        vcpu.last_pcpu = home
+
+    def _dequeue(self, vcpu: VCPU) -> None:
+        home = vcpu.last_pcpu
+        if home is not None and vcpu in self.queues[home]:
+            self.queues[home].remove(vcpu)
+            return
+        for queue in self.queues.values():
+            if vcpu in queue:
+                queue.remove(vcpu)
+                return
+
+    def runnable_backlog(self) -> int:
+        return sum(len(q) for q in self.queues.values())
+
+    def runqueues_view(self) -> Iterator[tuple[str, list[VCPU]]]:
+        for pcpu, queue in self.queues.items():
+            yield pcpu.name, queue
+
+
+class PoolQueueScheduler(QueueScheduler):
+    """Queue layout with one pool-wide list (``vrt``, ``rr``).
+
+    Runnable vCPUs queue in arrival order; ``_pick`` decides which of
+    them any pCPU runs next.
+    """
+
+    def __init__(self, machine: "Machine"):
+        super().__init__(machine)
+        #: Runnable vCPUs not on a pCPU, in arrival order.
+        self.queue: list[VCPU] = []
+
+    def _enqueue(self, vcpu: VCPU) -> None:
+        self.queue.append(vcpu)
+
+    def _dequeue(self, vcpu: VCPU) -> None:
+        if vcpu in self.queue:
+            self.queue.remove(vcpu)
+
+    def runnable_backlog(self) -> int:
+        return len(self.queue)
+
+    def runqueues_view(self) -> Iterator[tuple[str, list[VCPU]]]:
+        yield "pool", self.queue
+
+
+def vruntime_map(vruntime: dict[VCPU, float]) -> dict[str, float]:
+    """A per-vCPU vruntime table keyed ``domain/index``, in name order:
+    the part of ``_state_extra`` the vruntime schedulers share."""
+    return {
+        f"{v.domain.name}/{v.index}": vrt
+        for v, vrt in sorted(vruntime.items(), key=lambda item: (item[0].domain.name, item[0].index))
+    }
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,10 @@ Linux-CFS idioms, distinct from :mod:`repro.hypervisor.schedulers.vrt`
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Iterator
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.hypervisor.domain import VCPU
-from repro.hypervisor.schedulers.base import QueueScheduler, register
+from repro.hypervisor.schedulers.base import PerPcpuQueueScheduler, register, vruntime_map
 from repro.units import MS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 @register
-class CfsScheduler(QueueScheduler):
+class CfsScheduler(PerPcpuQueueScheduler):
     """Per-pCPU weighted-vruntime scheduler (CFS-class)."""
 
     name: ClassVar[str] = "cfs"
@@ -42,10 +42,6 @@ class CfsScheduler(QueueScheduler):
 
     def __init__(self, machine: "Machine"):
         super().__init__(machine)
-        #: Per-pCPU queues of runnable vCPUs (picked by lowest vruntime).
-        self.queues: dict["PCPU", list[VCPU]] = {
-            pcpu: [] for pcpu in machine.pool
-        }
         #: Weighted virtual runtimes, per vCPU.
         self.vruntime: dict[VCPU, float] = {}
         #: Monotone per-queue floor new arrivals are clamped against.
@@ -53,35 +49,7 @@ class CfsScheduler(QueueScheduler):
             pcpu: 0.0 for pcpu in machine.pool
         }
 
-    # -- weight plumbing -------------------------------------------------
-    def _effective_weight(self, vcpu: VCPU) -> float:
-        domain = vcpu.domain
-        active = max(1, len(domain.active_vcpus()))
-        if self.config.per_vm_weight:
-            return domain.weight / active
-        return float(domain.weight)
-
-    # -- queue primitives ------------------------------------------------
-    def _home(self, vcpu: VCPU) -> "PCPU":
-        if vcpu.last_pcpu is not None:
-            return vcpu.last_pcpu
-        return min(self.machine.pool, key=lambda p: (len(self.queues[p]), p.index))
-
-    def _enqueue(self, vcpu: VCPU) -> None:
-        home = self._home(vcpu)
-        self.queues[home].append(vcpu)
-        vcpu.last_pcpu = home
-
-    def _dequeue(self, vcpu: VCPU) -> None:
-        home = vcpu.last_pcpu
-        if home is not None and vcpu in self.queues[home]:
-            self.queues[home].remove(vcpu)
-            return
-        for queue in self.queues.values():
-            if vcpu in queue:
-                queue.remove(vcpu)
-                return
-
+    # -- dispatch order (lowest vruntime first) --------------------------
     def _key(self, vcpu: VCPU) -> tuple[float, str, int]:
         return (self.vruntime.get(vcpu, 0.0), vcpu.domain.name, vcpu.index)
 
@@ -157,23 +125,9 @@ class CfsScheduler(QueueScheduler):
             if self.vruntime.get(current, 0.0) > best_vrt + self.GRANULARITY_NS:
                 self.machine.request_reschedule(pcpu)
 
-    # -- introspection ---------------------------------------------------
-    def runnable_backlog(self) -> int:
-        return sum(len(q) for q in self.queues.values())
-
-    def runqueues_view(self) -> Iterator[tuple[str, list[VCPU]]]:
-        for pcpu, queue in self.queues.items():
-            yield pcpu.name, queue
-
     def _state_extra(self) -> dict:
         return {
-            "vruntime": {
-                f"{v.domain.name}/{v.index}": vrt
-                for v, vrt in sorted(
-                    self.vruntime.items(),
-                    key=lambda item: (item[0].domain.name, item[0].index),
-                )
-            },
+            "vruntime": vruntime_map(self.vruntime),
             "min_vruntime": {
                 pcpu.name: vrt for pcpu, vrt in self.min_vruntime.items()
             },

@@ -23,17 +23,17 @@ without waiting for a refill.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Iterator
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.hypervisor.domain import VCPU
-from repro.hypervisor.schedulers.base import QueueScheduler, register
+from repro.hypervisor.schedulers.base import PerPcpuQueueScheduler, register
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hypervisor.machine import Machine, PCPU
 
 
 @register
-class Credit2Scheduler(QueueScheduler):
+class Credit2Scheduler(PerPcpuQueueScheduler):
     """Per-pCPU credit queues with weight-scaled burn and global reset."""
 
     name: ClassVar[str] = "credit2"
@@ -43,43 +43,11 @@ class Credit2Scheduler(QueueScheduler):
 
     def __init__(self, machine: "Machine"):
         super().__init__(machine)
-        #: Per-pCPU queues of runnable vCPUs (picked by highest credit).
-        self.queues: dict["PCPU", list[VCPU]] = {
-            pcpu: [] for pcpu in machine.pool
-        }
         #: Balance granted at each global reset, in ns of reference-weight
         #: CPU time (one accounting period's worth keeps slices long).
         self.credit_init = self.config.acct_ns
 
-    # -- weight plumbing -------------------------------------------------
-    def _effective_weight(self, vcpu: VCPU) -> float:
-        domain = vcpu.domain
-        active = max(1, len(domain.active_vcpus()))
-        if self.config.per_vm_weight:
-            return domain.weight / active
-        return float(domain.weight)
-
-    # -- queue primitives ------------------------------------------------
-    def _home(self, vcpu: VCPU) -> "PCPU":
-        if vcpu.last_pcpu is not None:
-            return vcpu.last_pcpu
-        return min(self.machine.pool, key=lambda p: (len(self.queues[p]), p.index))
-
-    def _enqueue(self, vcpu: VCPU) -> None:
-        home = self._home(vcpu)
-        self.queues[home].append(vcpu)
-        vcpu.last_pcpu = home
-
-    def _dequeue(self, vcpu: VCPU) -> None:
-        home = vcpu.last_pcpu
-        if home is not None and vcpu in self.queues[home]:
-            self.queues[home].remove(vcpu)
-            return
-        for queue in self.queues.values():
-            if vcpu in queue:
-                queue.remove(vcpu)
-                return
-
+    # -- dispatch order (highest credit first) ---------------------------
     def _best(self, queue: list[VCPU]) -> VCPU | None:
         if not queue:
             return None
@@ -154,14 +122,6 @@ class Credit2Scheduler(QueueScheduler):
             current = pcpu.current
             if current is not None and current.credits <= 0:
                 self.machine.request_reschedule(pcpu)
-
-    # -- introspection ---------------------------------------------------
-    def runnable_backlog(self) -> int:
-        return sum(len(q) for q in self.queues.values())
-
-    def runqueues_view(self) -> Iterator[tuple[str, list[VCPU]]]:
-        for pcpu, queue in self.queues.items():
-            yield pcpu.name, queue
 
     def _state_extra(self) -> dict:
         # Balances live on the vCPUs (captured with domain state); the

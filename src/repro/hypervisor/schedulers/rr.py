@@ -12,17 +12,17 @@ conformance suite skips that property via ``weight_proportional=False``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Iterator
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.hypervisor.domain import VCPU
-from repro.hypervisor.schedulers.base import QueueScheduler, register
+from repro.hypervisor.schedulers.base import PoolQueueScheduler, register
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hypervisor.machine import Machine, PCPU
 
 
 @register
-class RoundRobinScheduler(QueueScheduler):
+class RoundRobinScheduler(PoolQueueScheduler):
     """Global-FIFO round-robin with a fixed time slice."""
 
     name: ClassVar[str] = "rr"
@@ -32,8 +32,6 @@ class RoundRobinScheduler(QueueScheduler):
 
     def __init__(self, machine: "Machine"):
         super().__init__(machine)
-        #: Runnable vCPUs not on a pCPU, in arrival order.
-        self.queue: list[VCPU] = []
         self._tickled = False
 
     # -- primitive hooks -------------------------------------------------
@@ -43,10 +41,6 @@ class RoundRobinScheduler(QueueScheduler):
             self.queue.insert(0, vcpu)
         else:
             self.queue.append(vcpu)
-
-    def _dequeue(self, vcpu: VCPU) -> None:
-        if vcpu in self.queue:
-            self.queue.remove(vcpu)
 
     def _pick(self, pcpu: "PCPU") -> VCPU | None:
         return self.queue[0] if self.queue else None
@@ -64,13 +58,6 @@ class RoundRobinScheduler(QueueScheduler):
             super()._admit(vcpu)
         finally:
             self._tickled = False
-
-    # -- introspection ---------------------------------------------------
-    def runnable_backlog(self) -> int:
-        return len(self.queue)
-
-    def runqueues_view(self) -> Iterator[tuple[str, list[VCPU]]]:
-        yield "pool", self.queue
 
     def _state_extra(self) -> dict:
         return {"tickled": self._tickled}

@@ -13,10 +13,13 @@ second scheduler implementation behind the same interface as
 * a global run order by smallest vruntime, with per-pCPU dispatch;
 * wake-up latency comes for free: sleepers' vruntimes are clamped forward
   to ``min_vruntime - wake_bonus`` so they run soon but cannot monopolize;
+* a yielding vCPU steps one granularity behind its peers;
 * preemption when the running vCPU's vruntime exceeds the best waiter's
   by more than the scheduling granularity, still honoring the rate limit.
 
-The vScale extension is scheduler-agnostic (it reads per-domain
+The vCPU state machine is :class:`QueueScheduler`'s, over the pool-wide
+list of :class:`PoolQueueScheduler`; this module supplies only the policy
+hooks.  The vScale extension is scheduler-agnostic (it reads per-domain
 consumption from :class:`repro.hypervisor.domain.Domain`), so freezing,
 extendability and the daemon all work unchanged on top of this scheduler —
 `benchmarks/test_generality.py` demonstrates it end to end.
@@ -24,10 +27,10 @@ extendability and the daemon all work unchanged on top of this scheduler —
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Iterator
+from typing import TYPE_CHECKING, ClassVar
 
-from repro.hypervisor.domain import Domain, Priority, VCPU, VCPUState
-from repro.hypervisor.schedulers.base import Scheduler, register
+from repro.hypervisor.domain import Priority, VCPU
+from repro.hypervisor.schedulers.base import PoolQueueScheduler, register, vruntime_map
 from repro.units import MS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 @register
-class VrtScheduler(Scheduler):
+class VrtScheduler(PoolQueueScheduler):
     """Virtual-runtime weighted-fair scheduler for the guest pool."""
 
     name: ClassVar[str] = "vrt"
@@ -53,120 +56,41 @@ class VrtScheduler(Scheduler):
 
     def __init__(self, machine: "Machine"):
         super().__init__(machine)
-        #: Runnable vCPUs not currently on a pCPU, ordered lazily.
-        self.waiting: list[VCPU] = []
         #: Weighted virtual runtimes (ns of weighted CPU), per vCPU.
         self.vruntime: dict[VCPU, float] = {}
         self._min_vruntime = 0.0
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self.sim.schedule(self.config.tick_ns, self._tick)
-
-    # ------------------------------------------------------------------
-    # Weight plumbing
-    # ------------------------------------------------------------------
-    def _effective_weight(self, vcpu: VCPU) -> float:
-        """Per-VM weight split across the domain's active vCPUs."""
-        domain = vcpu.domain
-        active = max(1, len(domain.active_vcpus()))
-        if self.config.per_vm_weight:
-            return domain.weight / active
-        return float(domain.weight)
-
     def _advance_min(self) -> None:
-        candidates = [self.vruntime.get(v, 0.0) for v in self.waiting]
+        candidates = [self.vruntime.get(v, 0.0) for v in self.queue]
         for pcpu in self.machine.pool:
             if pcpu.current is not None:
                 candidates.append(self.vruntime.get(pcpu.current, 0.0))
         if candidates:
             self._min_vruntime = max(self._min_vruntime, min(candidates))
 
-    # ------------------------------------------------------------------
-    # Entry points (same surface as CreditScheduler)
-    # ------------------------------------------------------------------
-    def vcpu_wake(self, vcpu: VCPU) -> None:
-        if vcpu.state is not VCPUState.BLOCKED:
-            return
-        now = self.sim.now
-        vcpu.set_state(VCPUState.RUNNABLE, now)
+    # -- policy hooks ----------------------------------------------------
+    def _on_wake(self, vcpu: VCPU) -> None:
         floor = self._min_vruntime - self.WAKE_BONUS_NS
         self.vruntime[vcpu] = max(self.vruntime.get(vcpu, floor), floor)
         vcpu.priority = Priority.UNDER
-        self.waiting.append(vcpu)
-        self._tickle(vcpu)
 
-    def vcpu_block(self, vcpu: VCPU) -> None:
-        now = self.sim.now
-        target = VCPUState.BLOCKED
-        if vcpu.freeze_pending:
-            target = VCPUState.FROZEN
-            vcpu.freeze_pending = False
-        if vcpu.state is VCPUState.RUNNING:
-            pcpu = vcpu.pcpu
-            self._stop_running(vcpu)
-            vcpu.set_state(target, now)
-            self.machine.request_reschedule(pcpu)
-        elif vcpu.state is VCPUState.RUNNABLE:
-            if vcpu in self.waiting:
-                self.waiting.remove(vcpu)
-            vcpu.set_state(target, now)
-        elif vcpu.state is VCPUState.BLOCKED and target is VCPUState.FROZEN:
-            vcpu.set_state(target, now)
+    def _on_tickle(self, vcpu: VCPU) -> None:
+        self.vruntime[vcpu] = self._min_vruntime - self.WAKE_BONUS_NS
 
-    def vcpu_unfreeze(self, vcpu: VCPU) -> None:
-        vcpu.freeze_pending = False
-        if vcpu.state is not VCPUState.FROZEN:
-            return
-        vcpu.set_state(VCPUState.BLOCKED, self.sim.now)
-
-    def vcpu_yield(self, vcpu: VCPU) -> None:
-        if vcpu.state is not VCPUState.RUNNING:
-            return
-        pcpu = vcpu.pcpu
-        self._stop_running(vcpu)
-        vcpu.set_state(VCPUState.RUNNABLE, self.sim.now)
+    def _on_yield(self, vcpu: VCPU) -> None:
         # A yielding vCPU steps behind its peers by one granularity.
         self.vruntime[vcpu] = self.vruntime.get(vcpu, 0.0) + self.GRANULARITY_NS
-        self.waiting.append(vcpu)
-        self.machine.request_reschedule(pcpu)
 
-    def tickle_vcpu(self, vcpu: VCPU) -> None:
-        """Expedite a vCPU with a pending reconfiguration IPI."""
-        if vcpu.state is not VCPUState.RUNNABLE:
-            return
-        self.vruntime[vcpu] = self._min_vruntime - self.WAKE_BONUS_NS
-        self._tickle(vcpu)
+    def _slice_ns(self, pcpu: "PCPU", vcpu: VCPU) -> int:
+        return self.MAX_SLICE_NS
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def schedule(self, pcpu: "PCPU") -> None:
-        now = self.sim.now
-        current = pcpu.current
-        if current is not None:
-            self._stop_running(current)
-            current.set_state(VCPUState.RUNNABLE, now)
-            self.waiting.append(current)
+    def _key(self, vcpu: VCPU) -> tuple[float, str, int]:
+        return (self.vruntime.get(vcpu, 0.0), vcpu.domain.name, vcpu.index)
 
-        candidate = self._pick()
-        if candidate is None:
-            pcpu.set_idle(now)
-            return
-        self.waiting.remove(candidate)
-        self._start_running(pcpu, candidate)
+    def _pick(self, pcpu: "PCPU") -> VCPU | None:
+        return min(self.queue, key=self._key) if self.queue else None
 
-    def _pick(self) -> VCPU | None:
-        if not self.waiting:
-            return None
-        return min(
-            self.waiting,
-            key=lambda v: (self.vruntime.get(v, 0.0), v.domain.name, v.index),
-        )
-
-    def _tickle(self, vcpu: VCPU) -> None:
+    def _wake_preempt(self, vcpu: VCPU) -> None:
         """Place a newly runnable vCPU: idle pCPU first, else preempt the
         pCPU whose current has the largest vruntime surplus."""
         for pcpu in self.machine.pool:
@@ -198,32 +122,8 @@ class VrtScheduler(Scheduler):
             self.machine.request_reschedule(victim)
 
     def _ratelimit_expired(self, pcpu: "PCPU", expected: VCPU) -> None:
-        if pcpu.current is expected and self.waiting:
+        if pcpu.current is expected and self.queue:
             self.machine.request_reschedule(pcpu)
-
-    # ------------------------------------------------------------------
-    # Run accounting
-    # ------------------------------------------------------------------
-    def _start_running(self, pcpu: "PCPU", vcpu: VCPU) -> None:
-        now = self.sim.now
-        vcpu.set_state(VCPUState.RUNNING, now)
-        vcpu.pcpu = pcpu
-        vcpu.last_pcpu = pcpu
-        vcpu.run_started_at = now
-        pcpu.set_current(vcpu, now)
-        pcpu.arm_slice(self.MAX_SLICE_NS)
-        self.machine.vcpu_context_entered(vcpu)
-
-    def _stop_running(self, vcpu: VCPU) -> None:
-        now = self.sim.now
-        pcpu = vcpu.pcpu
-        assert pcpu is not None and vcpu.run_started_at is not None
-        elapsed = now - vcpu.run_started_at
-        self._charge(vcpu, elapsed)
-        self.machine.vcpu_context_left(vcpu)
-        pcpu.clear_current(now)
-        vcpu.pcpu = None
-        vcpu.run_started_at = None
 
     def _charge(self, vcpu: VCPU, elapsed: int) -> None:
         if elapsed <= 0:
@@ -234,52 +134,17 @@ class VrtScheduler(Scheduler):
         self.charge_domain(vcpu, elapsed)
         self._advance_min()
 
-    # ------------------------------------------------------------------
-    # Tick: charge in-flight runtimes, preempt laggards, rescue waiters
-    # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        now = self.sim.now
+    def _tick_policy(self) -> None:
+        # Rescue idle pCPUs and preempt laggards in one pass, in pool
+        # order: each request schedules one event, so this order is the
+        # dispatch order.
+        if not self.queue:
+            return
+        limit = self.vruntime.get(min(self.queue, key=self._key), 0.0) + self.GRANULARITY_NS
         for pcpu in self.machine.pool:
-            vcpu = pcpu.current
-            if vcpu is None or vcpu.run_started_at is None:
-                continue
-            elapsed = now - vcpu.run_started_at
-            if elapsed > 0:
-                self._charge(vcpu, elapsed)
-                vcpu.run_started_at = now
-        if self.waiting:
-            best = self._pick()
-            assert best is not None
-            best_vrt = self.vruntime.get(best, 0.0)
-            for pcpu in self.machine.pool:
-                if pcpu.current is None:
-                    self.machine.request_reschedule(pcpu)
-                elif (
-                    self.vruntime.get(pcpu.current, 0.0)
-                    > best_vrt + self.GRANULARITY_NS
-                ):
-                    self.machine.request_reschedule(pcpu)
-        sanitizer = self.machine.sanitizer
-        if sanitizer is not None:
-            sanitizer.check_runqueues(self)
-            sanitizer.check_machine(self.machine.domains)
-        self.sim.schedule(self.config.tick_ns, self._tick)
-
-    # ------------------------------------------------------------------
-    def runnable_backlog(self) -> int:
-        return len(self.waiting)
-
-    def runqueues_view(self) -> Iterator[tuple[str, list[VCPU]]]:
-        yield "pool", self.waiting
+            current = pcpu.current
+            if current is None or self.vruntime.get(current, 0.0) > limit:
+                self.machine.request_reschedule(pcpu)
 
     def _state_extra(self) -> dict:
-        return {
-            "vruntime": {
-                f"{v.domain.name}/{v.index}": vrt
-                for v, vrt in sorted(
-                    self.vruntime.items(),
-                    key=lambda item: (item[0].domain.name, item[0].index),
-                )
-            },
-            "min_vruntime": self._min_vruntime,
-        }
+        return {"vruntime": vruntime_map(self.vruntime), "min_vruntime": self._min_vruntime}
