@@ -9,7 +9,7 @@ representative subset.
 import statistics
 
 from repro.experiments import fig6_7
-from repro.experiments.setups import ALL_CONFIGS, Config
+from repro.experiments.setups import Config
 from repro.workloads.openmp import SPINCOUNT_ACTIVE, SPINCOUNT_DEFAULT
 
 SUBSET = ["bt", "cg", "ep", "lu", "ua"]

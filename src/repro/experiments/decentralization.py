@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.channel import ChannelCosts
 from repro.core.daemon import VScaleDaemon
 from repro.guest.kernel import GuestKernel
 from repro.hypervisor.config import HostConfig

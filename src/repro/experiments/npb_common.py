@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.experiments.setups import (  # noqa: F401  (WARMUP_NS: re-exported)
-    WARMUP_NS,
+from repro.experiments.setups import (
+    WARMUP_NS,  # noqa: F401 (re-exported)
     Config,
     Scenario,
     ScenarioBuilder,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from repro.guest.actions import (
-    Action,
     BlockOn,
     Compute,
     Exit,

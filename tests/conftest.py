@@ -8,7 +8,6 @@ from repro.guest.actions import Compute
 from repro.guest.kernel import GuestConfig, GuestKernel
 from repro.hypervisor.config import HostConfig
 from repro.hypervisor.machine import Machine
-from repro.units import MS, SEC
 
 
 def busy(total_ns: int):

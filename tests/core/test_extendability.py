@@ -1,7 +1,5 @@
 """Tests for Algorithm 1 — including property-based invariants."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -18,7 +18,7 @@ from repro.faults import (
     FaultPlan,
     generate_plan,
 )
-from repro.units import MS, SEC
+from repro.units import SEC
 
 _sites = st.sampled_from(SCRIPTED_SITES)
 _events = st.builds(

@@ -1,12 +1,10 @@
 """Tests for interrupt behaviour at the guest/hypervisor boundary."""
 
-import pytest
-
 from repro.guest.actions import BlockOn, Compute, WaitQueue
 from repro.hypervisor.domain import VCPUState
 from repro.hypervisor.irq import IRQClass
 from repro.units import MS, SEC, US
-from tests.conftest import StackBuilder, busy
+from tests.conftest import busy
 
 
 class TestEventChannelRouting:

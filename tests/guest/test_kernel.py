@@ -4,10 +4,9 @@ dynticks, and the freeze-mask migration path."""
 import pytest
 
 from repro.guest.actions import BlockOn, Compute, SpinFlag, WaitQueue, YieldCPU
-from repro.guest.kernel import GuestConfig
 from repro.guest.threads import ThreadState
 from repro.hypervisor.domain import VCPUState
-from repro.units import MS, SEC, US
+from repro.units import MS, SEC
 from tests.conftest import StackBuilder, busy
 
 

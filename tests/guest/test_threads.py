@@ -1,10 +1,8 @@
 """Tests for thread classification and lifecycle."""
 
-import pytest
-
 from repro.guest.threads import Thread, ThreadKind, ThreadState
 from repro.units import MS, SEC
-from tests.conftest import StackBuilder, busy, chunks
+from tests.conftest import busy, chunks
 
 
 class _KernelStub:

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.hypervisor.config import HostConfig
-from repro.hypervisor.domain import Domain, VCPU, VCPUState
+from repro.hypervisor.domain import VCPUState
 from repro.hypervisor.machine import Machine
-from repro.units import SEC
 
 
 @pytest.fixture

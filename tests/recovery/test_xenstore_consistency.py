@@ -16,8 +16,6 @@ cannot happen:
 
 import json
 
-import pytest
-
 from repro.core.daemon import DaemonConfig
 from repro.experiments.setups import Config, ScenarioBuilder
 from repro.faults import generate_plan

@@ -2,7 +2,6 @@
 churn must never violate the stack's structural invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.balancer import VScaleBalancer

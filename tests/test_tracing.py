@@ -1,7 +1,5 @@
 """End-to-end tests for the wired-in tracer."""
 
-import pytest
-
 from repro.core.balancer import VScaleBalancer
 from repro.guest.kernel import GuestKernel
 from repro.hypervisor.config import HostConfig

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.rng import SeedSequenceFactory
-from repro.units import MS, SEC
+from repro.units import SEC
 from repro.workloads.npb import NPBApp, NPB_PROFILES
 from repro.workloads.openmp import SPINCOUNT_ACTIVE, SPINCOUNT_PASSIVE
 from tests.conftest import StackBuilder
