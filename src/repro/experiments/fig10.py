@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.npb_common import run_cell
+from repro.experiments import fig6_7
 from repro.experiments.setups import Config
 from repro.metrics.report import Table
-from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
-from repro.workloads.npb import NPB_PROFILES
+from repro.parallel import ParallelExecutor, get_default_executor
 from repro.workloads.openmp import (
     SPINCOUNT_ACTIVE,
     SPINCOUNT_DEFAULT,
@@ -49,32 +48,6 @@ class Fig10Result:
         return table.render()
 
 
-def cells(
-    apps: list[str] | None = None,
-    spincounts: tuple[int, ...] = (SPINCOUNT_ACTIVE, SPINCOUNT_DEFAULT, SPINCOUNT_PASSIVE),
-    vcpus: int = 4,
-    seed: int = 3,
-    work_scale: float = 1.0,
-) -> list[CellSpec]:
-    return [
-        CellSpec(
-            experiment="fig10",
-            name=f"{app}/spin={spincount}",
-            fn=run_cell,
-            kwargs=dict(
-                app_name=app,
-                vcpus=vcpus,
-                spincount=spincount,
-                config=Config.VANILLA,
-                seed=seed,
-                work_scale=work_scale,
-            ),
-        )
-        for app in apps or list(NPB_PROFILES)
-        for spincount in spincounts
-    ]
-
-
 def run(
     apps: list[str] | None = None,
     spincounts: tuple[int, ...] = (SPINCOUNT_ACTIVE, SPINCOUNT_DEFAULT, SPINCOUNT_PASSIVE),
@@ -85,7 +58,7 @@ def run(
 ) -> Fig10Result:
     if executor is None:
         executor = get_default_executor()
-    specs = cells(apps, spincounts, vcpus, seed, work_scale)
+    specs = fig6_7.cells(vcpus, apps, spincounts, [Config.VANILLA], seed, work_scale)
     result = Fig10Result()
     for cell in executor.run_cells(specs):
         result.rates[(cell.app, cell.spincount)] = cell.ipi_rate_per_vcpu

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.npb_common import run_cell
+from repro.experiments import fig6_7
 from repro.experiments.setups import Config
 from repro.metrics.report import Table
-from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
+from repro.parallel import ParallelExecutor, get_default_executor
 from repro.workloads.npb import NPB_PROFILES
 from repro.workloads.openmp import SPINCOUNT_ACTIVE
 
@@ -47,38 +47,6 @@ class Fig9Result:
         return table.render()
 
 
-def cells(
-    apps: list[str] | None = None,
-    vcpus: int = 4,
-    spincount: int = SPINCOUNT_ACTIVE,
-    include_pvlock: bool = True,
-    seed: int = 3,
-    work_scale: float = 1.0,
-) -> list[CellSpec]:
-    configs = [Config.VANILLA, Config.VSCALE]
-    if include_pvlock:
-        configs += [Config.PVLOCK, Config.VSCALE_PVLOCK]
-    specs = []
-    for app in apps or list(NPB_PROFILES):
-        for config in configs:
-            specs.append(
-                CellSpec(
-                    experiment="fig9",
-                    name=f"{app}/{config.value}",
-                    fn=run_cell,
-                    kwargs=dict(
-                        app_name=app,
-                        vcpus=vcpus,
-                        spincount=spincount,
-                        config=config,
-                        seed=seed,
-                        work_scale=work_scale,
-                    ),
-                )
-            )
-    return specs
-
-
 def run(
     apps: list[str] | None = None,
     vcpus: int = 4,
@@ -90,7 +58,10 @@ def run(
 ) -> Fig9Result:
     if executor is None:
         executor = get_default_executor()
-    specs = cells(apps, vcpus, spincount, include_pvlock, seed, work_scale)
+    configs = [Config.VANILLA, Config.VSCALE]
+    if include_pvlock:
+        configs += [Config.PVLOCK, Config.VSCALE_PVLOCK]
+    specs = fig6_7.cells(vcpus, apps, (spincount,), configs, seed, work_scale)
     by_config = {}
     for cell in executor.run_cells(specs):
         by_config[(cell.app, cell.config)] = cell

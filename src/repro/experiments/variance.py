@@ -11,12 +11,12 @@ which the paper approximates by averaging three runs.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.experiments.npb_common import run_cell
+from repro.experiments import fig6_7
 from repro.experiments.setups import Config
 from repro.metrics.report import Table
-from repro.parallel import CellSpec, ParallelExecutor, get_default_executor
+from repro.parallel import ParallelExecutor, get_default_executor
 
 
 @dataclass
@@ -68,32 +68,6 @@ class VarianceResult:
         return "\n".join(lines)
 
 
-def cells(
-    app: str = "cg",
-    spincount: int = 30_000_000_000,
-    seeds: tuple[int, ...] = (3, 4, 5),
-    vcpus: int = 4,
-    work_scale: float = 1.0,
-) -> list[CellSpec]:
-    return [
-        CellSpec(
-            experiment="variance",
-            name=f"{app}/seed={seed}/{config.value}",
-            fn=run_cell,
-            kwargs=dict(
-                app_name=app,
-                vcpus=vcpus,
-                spincount=spincount,
-                config=config,
-                seed=seed,
-                work_scale=work_scale,
-            ),
-        )
-        for seed in seeds
-        for config in (Config.VANILLA, Config.VSCALE)
-    ]
-
-
 def run(
     app: str = "cg",
     spincount: int = 30_000_000_000,
@@ -108,7 +82,13 @@ def run(
     if executor is None:
         executor = get_default_executor()
     result = VarianceResult(app=app, spincount=spincount, seeds=list(seeds))
-    specs = cells(app, spincount, seeds, vcpus, work_scale)
+    specs = [
+        replace(spec, name=f"{spec.name}/seed={seed}")
+        for seed in seeds
+        for spec in fig6_7.cells(
+            vcpus, [app], (spincount,), [Config.VANILLA, Config.VSCALE], seed, work_scale
+        )
+    ]
     outcomes = executor.run_cells(specs)
     for index, seed in enumerate(seeds):
         vanilla, vscale = outcomes[2 * index], outcomes[2 * index + 1]
