@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units import MS, US  # noqa: F401 (US used by downstream configs)
+from repro.units import MS, US
 
 
 @dataclass
